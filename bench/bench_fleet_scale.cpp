@@ -22,7 +22,9 @@
 //
 // --demo-boards=N boots an N-board fleet (no busy burst), brings it to DHCP
 // steady state and idles it for 10 simulated seconds — the 1000-board demo
-// from EXPERIMENTS.md. Off by default; it is a demo, not a benchmark.
+// from EXPERIMENTS.md. It prints how the bring-up's epoch time splits
+// between stepping boards and the serial frame exchange, and exits 1 if any
+// board misses its lease. Off by default; it is a demo, not a benchmark.
 #include <benchmark/benchmark.h>
 
 #include <cerrno>
@@ -167,8 +169,9 @@ Result RunIdleConfig(bool fast_forward) {
   return r;
 }
 
-// --demo-boards=N: DHCP bring-up + 10 idle seconds at fleet scale.
-void RunDemo(int boards) {
+// --demo-boards=N: DHCP bring-up + 10 idle seconds at fleet scale. Returns
+// whether every board got its lease.
+bool RunDemo(int boards) {
   std::printf("=== fleet demo: %d boards, bring-up + 10 idle seconds ===\n",
               boards);
   const auto t0 = std::chrono::steady_clock::now();
@@ -185,6 +188,8 @@ void RunDemo(int boards) {
       },
       kMaxHorizon);
   const double bringup = SecondsSince(t0);
+  const double step = f.fleet->host_step_seconds();
+  const double exchange = f.fleet->host_exchange_seconds();
   const auto t1 = std::chrono::steady_clock::now();
   f.fleet->Run(10 * cost::kCoreHz);
   const double idle = SecondsSince(t1);
@@ -192,13 +197,16 @@ void RunDemo(int boards) {
   r.seconds = bringup + idle;
   FillCycleSplit(*f.fleet, &r);
   std::printf(
-      "  bring-up%s %.1f s, idle span %.1f s, %llu barriers, "
-      "%llu frames, busy/idle = %llu/%llu Mcycles\n",
-      up ? "" : " (incomplete)", bringup, idle,
+      "  bring-up%s %.1f s (step %.2f s, exchange %.2f s: %.0f%% exchange), "
+      "idle span %.1f s, %llu barriers, %llu frames, "
+      "busy/idle = %llu/%llu Mcycles\n",
+      up ? "" : " (incomplete)", bringup, step, exchange,
+      100.0 * exchange / (step + exchange), idle,
       static_cast<unsigned long long>(r.barriers),
       static_cast<unsigned long long>(r.frames),
       static_cast<unsigned long long>(r.busy_cycles / 1000000),
       static_cast<unsigned long long>(r.idle_cycles / 1000000));
+  return up;
 }
 
 }  // namespace
@@ -216,8 +224,7 @@ int main(int argc, char** argv) {
     }
   }
   if (demo_boards > 0) {
-    RunDemo(demo_boards);
-    return 0;
+    return RunDemo(demo_boards) ? 0 : 1;
   }
 
   // Reach steady-state CPU frequency before timing anything.

@@ -73,10 +73,11 @@ Word EthernetDevice::Mmio(Address offset, bool is_store, Word value) {
       rx_read_pos_ = 0;
       return static_cast<Word>(rx_latched_.size());
     case 0x08: {  // RX data: stream latched frame, word at a time
+      const Frame& latched = rx_latched_.bytes();
       Word w = 0;
-      for (int i = 0; i < 4 && rx_read_pos_ < rx_latched_.size();
+      for (int i = 0; i < 4 && rx_read_pos_ < latched.size();
            ++i, ++rx_read_pos_) {
-        w |= static_cast<Word>(rx_latched_[rx_read_pos_]) << (8 * i);
+        w |= static_cast<Word>(latched[rx_read_pos_]) << (8 * i);
       }
       return w;
     }
@@ -118,7 +119,7 @@ Word EthernetDevice::Mmio(Address offset, bool is_store, Word value) {
   }
 }
 
-void EthernetDevice::HostInject(Frame frame) {
+void EthernetDevice::HostInject(SharedFrame frame) {
   rx_.push_back(std::move(frame));
   irqs_->Raise(IrqLine::kEthernet);
 }
@@ -145,7 +146,7 @@ void SerializeFrame(snap::Writer& w, const EthernetDevice::Frame& f) {
   w.Bytes(f.data(), f.size());
 }
 EthernetDevice::Frame RestoreFrame(snap::Reader& r) {
-  EthernetDevice::Frame f(r.U32());
+  EthernetDevice::Frame f(r.Count(1));
   r.BytesInto(f.data(), f.size());
   return f;
 }
@@ -166,7 +167,7 @@ void LedBank::SerializeState(snap::Writer& w) const {
 
 void LedBank::RestoreState(snap::Reader& r) {
   state_ = r.U32();
-  events_.resize(r.U32());
+  events_.resize(r.Count(12));  // at + mask
   for (Event& e : events_) {
     e.at = r.U64();
     e.mask = r.U32();
@@ -186,7 +187,7 @@ void Timer::RestoreState(snap::Reader& r) {
 void EthernetDevice::SerializeState(snap::Writer& w) const {
   w.Bytes(mac_.data(), mac_.size());
   w.U32(static_cast<uint32_t>(rx_.size()));
-  for (const Frame& f : rx_) {
+  for (const SharedFrame& f : rx_) {
     SerializeFrame(w, f);
   }
   SerializeFrame(w, rx_latched_);

@@ -14,6 +14,7 @@
 
 #include "src/base/clock.h"
 #include "src/base/types.h"
+#include "src/hw/shared_frame.h"
 
 namespace cheriot {
 
@@ -140,7 +141,8 @@ class EthernetDevice {
   Word Mmio(Address offset, bool is_store, Word value);
 
   // Host/world side: deliver a frame into the RX queue (raises the IRQ).
-  void HostInject(Frame frame);
+  // The queue and the RX-length latch hold the sender's buffer, not a copy.
+  void HostInject(SharedFrame frame);
   // Host/world side: called for each committed TX frame.
   std::function<void(Frame)> on_transmit;
 
@@ -158,8 +160,8 @@ class EthernetDevice {
 
  private:
   InterruptController* irqs_;
-  std::deque<Frame> rx_;
-  Frame rx_latched_;
+  std::deque<SharedFrame> rx_;
+  SharedFrame rx_latched_;
   size_t rx_read_pos_ = 0;
   Frame tx_building_;
   size_t tx_expected_ = 0;

@@ -1170,7 +1170,7 @@ void System::RestoreState(snap::Reader& r) {
     t.max_frames = r.U16();
     t.frame_depth = r.U16();
     t.current_compartment = r.I32();
-    t.compartment_stack.resize(r.U32());
+    t.compartment_stack.resize(r.Count(4));
     for (int& c : t.compartment_stack) {
       c = r.I32();
     }

@@ -558,7 +558,9 @@ void SerializeBootInfo(snap::Writer& w, const BootInfo& boot) {
 
 std::unique_ptr<BootInfo> DeserializeBootInfo(snap::Reader& r) {
   auto boot = std::make_unique<BootInfo>();
-  boot->compartments.resize(r.U32());
+  // Each Count() bound is the element's smallest encoding: fixed fields plus
+  // empty strings and empty nested lists.
+  boot->compartments.resize(r.Count(66));
   for (CompartmentRuntime& c : boot->compartments) {
     c.id = r.I32();
     c.name = r.Str();
@@ -570,7 +572,7 @@ std::unique_ptr<BootInfo> DeserializeBootInfo(snap::Reader& r) {
     c.globals_size = r.U32();
     c.export_table = r.U32();
     c.import_table = r.U32();
-    c.imports.resize(r.U32());
+    c.imports.resize(r.Count(34));
     for (ImportBinding& b : c.imports) {
       b.kind = static_cast<ImportBinding::Kind>(r.U8());
       b.qualified_name = r.Str();
@@ -580,10 +582,10 @@ std::unique_ptr<BootInfo> DeserializeBootInfo(snap::Reader& r) {
       b.target_export = r.I32();
       b.slot_address = r.U32();
     }
-    c.globals_snapshot.resize(r.U32());
+    c.globals_snapshot.resize(r.Count(1));
     r.BytesInto(c.globals_snapshot.data(), c.globals_snapshot.size());
   }
-  boot->libraries.resize(r.U32());
+  boot->libraries.resize(r.Count(29));
   for (LibraryRuntime& l : boot->libraries) {
     l.id = r.I32();
     l.name = r.Str();
@@ -591,7 +593,7 @@ std::unique_ptr<BootInfo> DeserializeBootInfo(snap::Reader& r) {
     l.code_base = r.U32();
     l.code_size = r.U32();
   }
-  boot->threads.resize(r.U32());
+  boot->threads.resize(r.Count(32));
   for (ThreadLayout& t : boot->threads) {
     t.name = r.Str();
     t.priority = r.U16();

@@ -361,11 +361,11 @@ void Scheduler::RestoreState(snap::Reader& r) {
     }
   }
   multiwaiters_.clear();
-  multiwaiters_.resize(r.U32());
+  multiwaiters_.resize(r.Count(13));  // live, max_events, count, thread
   for (Multiwaiter& mw : multiwaiters_) {
     mw.live = r.Bool();
     mw.max_events = r.I32();
-    mw.addrs.resize(r.U32());
+    mw.addrs.resize(r.Count(4));
     for (Address& a : mw.addrs) {
       a = r.U32();
     }

@@ -1,5 +1,7 @@
 #include "src/sim/board.h"
 
+#include <algorithm>
+
 #include "src/base/check.h"
 #include "src/snap/wire.h"
 
@@ -29,10 +31,10 @@ Board::Board(FirmwareImage image, const BoardOptions& options)
   };
   machine_.clock().AddHook([this](Cycles) { PumpRx(); });
   machine_.AddNextEventSource([this]() -> std::optional<Cycles> {
-    if (rx_pending_.empty()) {
+    if (rx_head_ == rx_pending_.size()) {
       return std::nullopt;
     }
-    return rx_pending_.begin()->first;
+    return rx_pending_[rx_head_].due;
   });
 }
 
@@ -80,8 +82,10 @@ void Board::Boot() {
 
 void Board::PumpRx() {
   const Cycles now = machine_.clock().now();
-  while (!rx_pending_.empty() && rx_pending_.begin()->first <= now) {
-    RxFrame& rx = rx_pending_.begin()->second;
+  const size_t first = rx_head_;
+  for (; rx_head_ < rx_pending_.size() && rx_pending_[rx_head_].due <= now;
+       ++rx_head_) {
+    RxFrame& rx = rx_pending_[rx_head_];
     // kNicLoss injection point: the arbiter may drop a due frame instead of
     // delivering it (models lossy links; only branched under cheriot_mc
     // --inject-faults). The drop is observable: a kFrameDrop trace event, a
@@ -98,7 +102,7 @@ void Board::PumpRx() {
         flow_obs_.push_back({FlowObs::Kind::kDropped, rx.flow, now,
                              static_cast<uint32_t>(rx.frame.size())});
       }
-      rx_pending_.erase(rx_pending_.begin());
+      rx.frame = {};
       continue;
     }
     ++nic_rx_frames_;
@@ -110,7 +114,19 @@ void Board::PumpRx() {
                            static_cast<uint32_t>(rx.frame.size())});
     }
     machine_.ethernet().HostInject(std::move(rx.frame));
-    rx_pending_.erase(rx_pending_.begin());
+  }
+  if (rx_head_ == first) {
+    return;
+  }
+  // Drop the delivered prefix: all of it once the queue runs dry, otherwise
+  // once it outgrows the pending part (amortised O(1) per frame).
+  if (rx_head_ == rx_pending_.size()) {
+    rx_pending_.clear();
+    rx_head_ = 0;
+  } else if (2 * rx_head_ >= rx_pending_.size()) {
+    rx_pending_.erase(rx_pending_.begin(),
+                      rx_pending_.begin() + static_cast<ptrdiff_t>(rx_head_));
+    rx_head_ = 0;
   }
 }
 
@@ -162,7 +178,7 @@ std::vector<Board::FlowObs> Board::DrainFlowObs() {
   return out;
 }
 
-void Board::InjectAt(Cycles due, Frame frame, flow::FlowId flow) {
+void Board::InjectAt(Cycles due, SharedFrame frame, flow::FlowId flow) {
   if (op_log_enabled_) {
     // Logged with the clock at injection: frame visibility depends on when
     // (between which StepTo calls) the frame arrived, and replay asserts the
@@ -175,8 +191,17 @@ void Board::InjectAt(Cycles due, Frame frame, flow::FlowId flow) {
     op.flow = flow;
     op_log_.push_back(std::move(op));
   }
-  rx_pending_.emplace(due, RxFrame{std::move(frame), flow});
+  EnqueueRx(due, std::move(frame), flow);
   injected_since_deadlock_ = true;
+}
+
+void Board::EnqueueRx(Cycles due, SharedFrame frame, flow::FlowId flow) {
+  // Arrivals almost always carry the latest due, so this is an append.
+  const auto pos = std::upper_bound(
+      rx_pending_.begin() + static_cast<ptrdiff_t>(rx_head_),
+      rx_pending_.end(), due,
+      [](Cycles d, const RxFrame& rx) { return d < rx.due; });
+  rx_pending_.insert(pos, RxFrame{due, std::move(frame), flow});
 }
 
 // --- Snapshot/restore (DESIGN.md §10) --------------------------------------
@@ -244,9 +269,10 @@ void Board::SerializeBoardSection(snap::Writer& w) const {
   w.Bool(injected_since_deadlock_);
   w.U32(tx_seq_);
   SerializeFrameList(w, tx_staged_);
-  w.U32(static_cast<uint32_t>(rx_pending_.size()));
-  for (const auto& [due, rx] : rx_pending_) {
-    w.U64(due);
+  w.U32(static_cast<uint32_t>(rx_pending_.size() - rx_head_));
+  for (size_t i = rx_head_; i < rx_pending_.size(); ++i) {
+    const RxFrame& rx = rx_pending_[i];
+    w.U64(rx.due);
     w.Blob(rx.frame);
     SerializeFlowId(w, rx.flow);
   }
@@ -270,12 +296,13 @@ void Board::RestoreBoardSection(snap::Reader& r) {
     tx_staged_.push_back(std::move(tx));
   }
   rx_pending_.clear();
+  rx_head_ = 0;
   const uint32_t n_rx = r.U32();
   for (uint32_t i = 0; i < n_rx; ++i) {
     const Cycles due = r.U64();
     Frame frame = r.Blob();
     const flow::FlowId flow = DeserializeFlowId(r);
-    rx_pending_.emplace(due, RxFrame{std::move(frame), flow});
+    EnqueueRx(due, std::move(frame), flow);
   }
 }
 

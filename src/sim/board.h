@@ -8,7 +8,6 @@
 #define SRC_SIM_BOARD_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "src/flow/flow.h"
 #include "src/health/forensics.h"
 #include "src/hw/machine.h"
+#include "src/hw/shared_frame.h"
 #include "src/kernel/system.h"
 #include "src/snap/snapshot.h"
 #include "src/trace/trace.h"
@@ -115,10 +115,13 @@ class Board {
 
   // Takes this epoch's transmitted frames, stamped with their TX cycle.
   std::vector<TxFrame> DrainTx();
-  // Schedules a frame to arrive at absolute cycle `due` (FIFO-stable for
-  // equal timestamps). `flow` is the frame's host-side provenance; defaulted
-  // (= untracked) for hand-injected test frames.
-  void InjectAt(Cycles due, Frame frame, flow::FlowId flow = {});
+  // Schedules a frame to arrive at absolute cycle `due`. Frames reach the
+  // NIC in ascending due order, first in first out among equal dues
+  // (DESIGN.md §6). The board keeps the caller's buffer, shared with every
+  // other receiver of the frame; a plain Frame converts. `flow` is the
+  // frame's host-side provenance; defaulted (= untracked) for hand-injected
+  // test frames.
+  void InjectAt(Cycles due, SharedFrame frame, flow::FlowId flow = {});
 
   // --- Flow observations (PR 9) --------------------------------------------
   // When staging is on (Fleet flow mode), PumpRx records one observation per
@@ -213,15 +216,18 @@ class Board {
     Kind kind = Kind::kStep;
     Cycles a = 0;  // kStep: absolute target; kInject: clock at injection
     Cycles b = 0;  // kInject: absolute due cycle
-    Frame frame;   // kInject only
+    SharedFrame frame;  // kInject only
     flow::FlowId flow;  // kInject only: the frame's provenance
   };
 
   struct RxFrame {
-    Frame frame;
+    Cycles due = 0;
+    SharedFrame frame;
     flow::FlowId flow;
   };
 
+  // Inserts into rx_pending_ behind every frame due at or before `due`.
+  void EnqueueRx(Cycles due, SharedFrame frame, flow::FlowId flow);
   void PumpRx();
   void SerializeBoardSection(snap::Writer& w) const;
   void RestoreBoardSection(snap::Reader& r);
@@ -237,7 +243,11 @@ class Board {
   std::unique_ptr<health::ForensicsRecorder> forensics_;
   std::unique_ptr<cov::CovRecorder> cov_;
   std::vector<TxFrame> tx_staged_;
-  std::multimap<Cycles, RxFrame> rx_pending_;
+  // Frames awaiting delivery, in delivery order (ascending due, first in
+  // first out among equal dues). Entries before rx_head_ are delivered;
+  // PumpRx drops that prefix once it is the larger part of the vector.
+  std::vector<RxFrame> rx_pending_;
+  size_t rx_head_ = 0;
   uint32_t tx_seq_ = 0;  // flow-id sequence; ticks on every transmit
   std::vector<FlowObs> flow_obs_;
   bool flow_staging_ = false;

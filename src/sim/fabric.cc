@@ -69,7 +69,7 @@ Cycles Fabric::MinLinkLatency() const {
   return best;
 }
 
-void Fabric::DeliverTo(int port, Cycles at, const Frame& frame,
+void Fabric::DeliverTo(int port, Cycles at, const SharedFrame& frame,
                        flow::FlowId flow) {
   const Port& p = ports_[static_cast<size_t>(port)];
   if (p.deliver) {
@@ -77,7 +77,7 @@ void Fabric::DeliverTo(int port, Cycles at, const Frame& frame,
   }
 }
 
-void Fabric::Transmit(int src_port, Cycles at, const Frame& frame,
+void Fabric::Transmit(int src_port, Cycles at, Frame frame,
                       flow::FlowId flow) {
   if (frame.size() < 12) {
     return;
@@ -88,22 +88,24 @@ void Fabric::Transmit(int src_port, Cycles at, const Frame& frame,
   std::memcpy(src.data(), frame.data() + 6, 6);
   mac_table_[src] = src_port;
   ++frames_switched_;
+  // One buffer for every receiver: each delivery below hands on this handle.
+  const SharedFrame shared(std::move(frame));
 
   if (dst != kBroadcast) {
     auto it = mac_table_.find(dst);
     if (it != mac_table_.end()) {
       if (it->second != src_port) {
         if (trace_ != nullptr) {
-          trace_->OnFabricFrame(at, src_port, it->second, frame.size(),
+          trace_->OnFabricFrame(at, src_port, it->second, shared.size(),
                                 flow.origin, flow.seq);
         }
         if (flow_ != nullptr) {
           const Cycles due =
               at + ports_[static_cast<size_t>(it->second)].latency;
-          flow_->OnHop(flow, src_port, it->second, at, due, frame.size());
+          flow_->OnHop(flow, src_port, it->second, at, due, shared.size());
         }
         Union(src_port, it->second);
-        DeliverTo(it->second, at, frame, flow);
+        DeliverTo(it->second, at, shared, flow);
       }
       return;
     }
@@ -111,17 +113,17 @@ void Fabric::Transmit(int src_port, Cycles at, const Frame& frame,
   // Broadcast or unlearned unicast: flood.
   ++frames_flooded_;
   if (trace_ != nullptr) {
-    trace_->OnFabricFrame(at, src_port, -1, frame.size(), flow.origin,
+    trace_->OnFabricFrame(at, src_port, -1, shared.size(), flow.origin,
                           flow.seq);
   }
   for (int port = 0; port < static_cast<int>(ports_.size()); ++port) {
     if (port != src_port) {
       if (flow_ != nullptr) {
         const Cycles due = at + ports_[static_cast<size_t>(port)].latency;
-        flow_->OnHop(flow, src_port, port, at, due, frame.size());
+        flow_->OnHop(flow, src_port, port, at, due, shared.size());
       }
       Union(src_port, port);
-      DeliverTo(port, at, frame, flow);
+      DeliverTo(port, at, shared, flow);
     }
   }
 }

@@ -13,6 +13,7 @@
 
 #include "src/base/types.h"
 #include "src/flow/flow.h"
+#include "src/hw/shared_frame.h"
 
 namespace cheriot {
 namespace trace {
@@ -32,8 +33,11 @@ class Fabric {
   using Frame = std::vector<uint8_t>;
   using Mac = std::array<uint8_t, 6>;
   // Called once per delivered frame with its arrival time (transmit time
-  // plus the destination port's latency) and its host-side provenance.
-  using DeliverFn = std::function<void(Cycles due, Frame frame,
+  // plus the destination port's latency) and its host-side provenance. The
+  // frame is the transmitted buffer itself, shared by every receiver of a
+  // flood (DESIGN.md §6): a receiver that keeps a SharedFrame copy holds a
+  // reference to it, one that takes a Frame gets its own copy.
+  using DeliverFn = std::function<void(Cycles due, const SharedFrame& frame,
                                        flow::FlowId flow)>;
 
   // Attaches a port; returns its id. `latency` is the one-way delay of the
@@ -42,10 +46,11 @@ class Fabric {
 
   // Switches one frame transmitted on `src_port` at time `at`: learns the
   // source MAC, then delivers to the learned destination port, or floods to
-  // every other port for broadcast/unknown destinations. `flow` rides
-  // alongside the frame (never inside it); defaulted for hand-built frames.
-  void Transmit(int src_port, Cycles at, const Frame& frame,
-                flow::FlowId flow = {});
+  // every other port for broadcast/unknown destinations. The frame is
+  // wrapped once into a SharedFrame that every delivery hands on. `flow`
+  // rides alongside the frame (never inside it); defaulted for hand-built
+  // frames.
+  void Transmit(int src_port, Cycles at, Frame frame, flow::FlowId flow = {});
 
   // Smallest nonzero port latency (the conservative-lookahead bound for the
   // Fleet's epoch length); 0 if no such port exists yet.
@@ -100,7 +105,8 @@ class Fabric {
     DeliverFn deliver;
   };
 
-  void DeliverTo(int port, Cycles at, const Frame& frame, flow::FlowId flow);
+  void DeliverTo(int port, Cycles at, const SharedFrame& frame,
+                 flow::FlowId flow);
   int Find(int port) const;
   void Union(int a, int b);
 

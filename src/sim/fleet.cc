@@ -1,6 +1,7 @@
 #include "src/sim/fleet.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 
 #include "src/base/check.h"
@@ -36,8 +37,8 @@ Fleet::Fleet(FleetOptions options)
   // reply crosses only the destination board's link — reproducing the
   // single-board NetWorld round-trip of exactly one link latency.
   gateway_port_ = fabric_.AttachPort(
-      0, [this](Cycles due, Fabric::Frame f, flow::FlowId flow) {
-        gateway_inbox_.push_back({due, std::move(f), flow});
+      0, [this](Cycles due, const SharedFrame& f, flow::FlowId flow) {
+        gateway_inbox_.push_back({due, f, flow});
       });
   gateway_.set_emit([this](net::Bytes frame, flow::FlowId flow) {
     GatewayEmit(std::move(frame), flow);
@@ -106,8 +107,9 @@ int Fleet::AddBoard(FirmwareImage image) {
   }
   board_ports_.push_back(fabric_.AttachPort(
       options_.board_link_latency,
-      [this, board, index](Cycles due, Fabric::Frame f, flow::FlowId flow) {
-        board->InjectAt(due, std::move(f), flow);
+      [this, board, index](Cycles due, const SharedFrame& f,
+                           flow::FlowId flow) {
+        board->InjectAt(due, f, flow);
         // A newly injected frame is an interesting event: clamp the cached
         // bound so a parked board (or one parked this barrier) is woken for
         // the epoch containing the delivery. Guarded because the fabric can
@@ -146,7 +148,7 @@ void Fleet::Boot() {
 }
 
 void Fleet::GatewayEmit(net::Bytes frame, flow::FlowId flow) {
-  fabric_.Transmit(gateway_port_, gateway_emit_at_, frame, flow);
+  fabric_.Transmit(gateway_port_, gateway_emit_at_, std::move(frame), flow);
 }
 
 Cycles Fleet::NextEpochTarget(Cycles end) const {
@@ -308,7 +310,7 @@ void Fleet::ExchangeFrames() {
       if (flow_) {
         flow_->OnTx(flow, at, frame.size());
       }
-      fabric_.Transmit(board_ports_[i], at, frame, flow);
+      fabric_.Transmit(board_ports_[i], at, std::move(frame), flow);
     }
   }
   tx_dirty_.clear();
@@ -373,11 +375,17 @@ void Fleet::SampleMetrics() {
 }
 
 void Fleet::RunEpoch(Cycles target) {
+  using Clock = std::chrono::steady_clock;
   BuildStepList(target);
+  const Clock::time_point t0 = Clock::now();
   StepBoards(target);
+  const Clock::time_point t1 = Clock::now();
   now_ = target;
   ++barriers_;
   ExchangeFrames();
+  const Clock::time_point t2 = Clock::now();
+  host_step_seconds_ += std::chrono::duration<double>(t1 - t0).count();
+  host_exchange_seconds_ += std::chrono::duration<double>(t2 - t1).count();
   SampleMetrics();
 }
 
@@ -515,7 +523,10 @@ void Fleet::BuildSnapshotContainer(snap::Container& c) {
     // Effective configuration + fleet-level state. host_threads and
     // fast_forward are deliberately absent: both are host-performance knobs
     // with bit-identical fingerprints (pinned by tests/fleet_test.cpp), so
-    // snapshots taken at any worker count / fast-forward mode byte-match.
+    // snapshots taken at any worker count byte-match. (Across fast-forward
+    // modes the device sections differ: a fast-forwarded board skips the
+    // idle quantum timer, so its compare register and pending-IRQ mask
+    // differ from a fully stepped board's.)
     snap::Writer w;
     w.U64(options_.epoch);
     w.U64(options_.board_link_latency);

@@ -138,6 +138,12 @@ class Fleet {
   // Distinct communication groups observed by the fabric (union-find over
   // actual deliveries; see Fabric::GroupOf).
   size_t communication_groups() const { return fabric_.group_count(); }
+  // Host wall-clock seconds spent so far stepping boards (StepBoards,
+  // including the worker handoff) and in the serial barrier exchange
+  // (ExchangeFrames: TX drain, fabric fan-out, gateway). Host-side only:
+  // never serialized, never read by the simulation.
+  double host_step_seconds() const { return host_step_seconds_; }
+  double host_exchange_seconds() const { return host_exchange_seconds_; }
 
   // The fabric's recorder (frames only, stamped with TX cycles); null unless
   // FleetOptions::trace is set.
@@ -249,7 +255,7 @@ class Fleet {
   // and processed in transmit-time order (with their provenance alongside).
   struct GatewayRx {
     Cycles at = 0;
-    net::Bytes frame;
+    SharedFrame frame;
     flow::FlowId flow;
   };
   std::vector<GatewayRx> gateway_inbox_;
@@ -274,6 +280,8 @@ class Fleet {
   uint64_t barriers_ = 0;
   uint64_t boards_stepped_ = 0;
   uint64_t boards_skipped_ = 0;
+  double host_step_seconds_ = 0;
+  double host_exchange_seconds_ = 0;
 
   // Whole-fleet control log (see FleetOp). Per-board replay logs are
   // disabled in AddBoard(); this is the single source of replay truth.

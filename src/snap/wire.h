@@ -104,8 +104,21 @@ class Reader {
   bool Bool() { return U8() != 0; }
   void BytesInto(void* out, size_t size) {
     Need(size);
-    std::memcpy(out, p_, size);
+    if (size != 0) {  // an empty vector's data() may be null
+      std::memcpy(out, p_, size);
+    }
     p_ += size;
+  }
+  // Reads a U32 element count for a container about to be sized from it.
+  // Checks first that `count` elements of at least `min_element_bytes` (> 0)
+  // wire bytes each fit in what is left, so a corrupt count raises
+  // SnapshotError before anything is allocated from it.
+  uint32_t Count(size_t min_element_bytes) {
+    const uint32_t n = U32();
+    if (n > remaining() / min_element_bytes) {
+      throw SnapshotError("snapshot element count exceeds its section");
+    }
+    return n;
   }
   std::vector<uint8_t> Blob() {
     const uint64_t n = U64();

@@ -13,8 +13,11 @@
 
 #include "src/base/costs.h"
 #include "src/net/world.h"
+#include "src/rtos.h"
 #include "src/sim/fleet.h"
 #include "src/sim/fleet_app.h"
+#include "src/snap/snapshot.h"
+#include "src/sync/sync.h"
 
 namespace cheriot {
 namespace {
@@ -215,6 +218,49 @@ TEST(FleetDeterminismTest, ThreadCountDoesNotChangeResults) {
   ExpectSameOutcome(serial, four, "4-thread");
 }
 
+// FNV-1a, one step per unit: a byte of the snapshot, or a whole 64-bit
+// fingerprint field.
+constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+uint64_t Fnv1a(uint64_t h, uint64_t unit) {
+  return (h ^ unit) * 1099511628211ull;
+}
+
+// Every other determinism check here is self-relative: two runs of the same
+// code must agree, so a change that moved every run the same way would pass
+// them all. This one pins absolute digests of a 32-board, 4-worker run: the
+// nine fingerprint fields of every board in board order, and the bytes of
+// the fleet snapshot. Neither depends on the worker count. The snapshot does
+// depend on the fast-forward mode: a fast-forwarded board skips the idle
+// quantum timer, so at the final barrier its timer compare value and
+// pending-IRQ mask differ from a fully stepped board's, and each mode has
+// its own digest. CI runs this suite in both modes.
+TEST(FleetDeterminismTest, AbsoluteGoldenThirtyTwoBoardsFourWorkers) {
+  FleetRun run = MakeFleet(32, /*host_threads=*/4);
+  run.fleet->Run(20 * kSecond);
+  run.fleet->PublishMqtt("leds", {'o', 'n'});
+  run.fleet->Run(5 * kSecond);
+
+  uint64_t fingerprints = kFnvOffset;
+  for (const Board::Fingerprint& fp : run.fleet->Fingerprints()) {
+    for (uint64_t field : {fp.now, fp.accesses, fp.cap_loads, fp.cap_stores,
+                           fp.traps, fp.idle_cycles, fp.uart_bytes,
+                           fp.uart_hash, uint64_t{fp.reboots}}) {
+      fingerprints = Fnv1a(fingerprints, field);
+    }
+  }
+  std::vector<uint8_t> blob;
+  run.fleet->Snapshot(blob);
+  uint64_t snapshot = kFnvOffset;
+  for (uint8_t byte : blob) {
+    snapshot = Fnv1a(snapshot, byte);
+  }
+
+  EXPECT_EQ(fingerprints, 0xd50c99b7dd0e6e03ull);
+  EXPECT_EQ(blob.size(), 8'696'744u);
+  EXPECT_EQ(snapshot, run.fleet->fast_forward() ? 0xf039dcf29d334614ull
+                                                 : 0xde4ae9f41c1b1ed8ull);
+}
+
 TEST(FleetTest, EpochNeverExceedsLinkLatency) {
   FleetRun run = MakeFleet(2, 1);
   EXPECT_GT(run.fleet->epoch_length(), 0u);
@@ -356,6 +402,99 @@ TEST(FleetTest, FabricGroupsTrackActualDeliveries) {
   fabric.Transmit(p0, 0, bcast);
   EXPECT_EQ(fabric.group_count(), 1u);
   EXPECT_GT(fabric.group_generation(), gen0);
+}
+
+// --- Board RX delivery order ------------------------------------------------
+
+// One thread asleep for the whole test: the guest never reads the NIC, so
+// every delivered frame stays in the adaptor's RX FIFO for the host to read.
+FirmwareImage SleeperImage() {
+  ImageBuilder b("rx-order");
+  b.Compartment("c").Export(
+      "main", [](CompartmentCtx& ctx, const std::vector<Capability>&) {
+        ctx.SleepCycles(1'000'000'000);
+        return StatusCap(Status::kOk);
+      });
+  sync::UseScheduler(b, "c");
+  b.Thread("t", 1, 2048, 6, "c.main");
+  return b.Build();
+}
+
+// The first byte of each pending frame in the board's BORD section, checking
+// that the section lists them in ascending due order.
+std::vector<uint8_t> PendingTagsInBoardSection(Board& board) {
+  snap::Container c;
+  board.BuildStateSections(c);
+  snap::Reader r(c.Require(snap::kSecBoard).body);
+  r.Bool();  // booted
+  r.U8();    // last run result
+  r.Bool();  // injected since deadlock
+  r.U32();   // TX sequence
+  EXPECT_EQ(r.U32(), 0u) << "no staged TX frames expected";
+  std::vector<uint8_t> tags;
+  Cycles previous_due = 0;
+  for (uint32_t n = r.U32(); n > 0; --n) {
+    const Cycles due = r.U64();
+    EXPECT_GE(due, previous_due);
+    previous_due = due;
+    const std::vector<uint8_t> frame = r.Blob();
+    const int32_t origin = r.I32();
+    const uint32_t seq = r.U32();
+    EXPECT_EQ(origin, 7);
+    EXPECT_EQ(seq, frame.at(0)) << "flow id travels with its frame";
+    tags.push_back(frame.at(0));
+  }
+  r.ExpectEnd("BORD");
+  return tags;
+}
+
+// Reads every frame out of the NIC's RX FIFO through its MMIO registers and
+// returns each frame's first byte, in the order the adaptor holds them.
+std::vector<uint8_t> DrainNicTags(Board& board) {
+  EthernetDevice& nic = board.machine().ethernet();
+  std::vector<uint8_t> tags;
+  while (nic.rx_pending() > 0) {
+    EXPECT_EQ(nic.Mmio(0x04, false, 0), 20u);  // latch the head frame
+    tags.push_back(static_cast<uint8_t>(nic.Mmio(0x08, false, 0)));
+    nic.Mmio(0x0C, true, 0);  // pop it
+  }
+  return tags;
+}
+
+// The RX delivery-order contract (DESIGN.md §6): frames reach the NIC in
+// ascending due cycle, first in first out among equal dues, whatever order
+// they were injected in; the BORD section lists still-pending frames in
+// that same order.
+TEST(BoardRxTest, DeliversInDueOrderFirstInFirstOutAmongEqualDues) {
+  Board board(SleeperImage(), {});
+  board.Boot();
+  board.StepTo(10'000);
+  const Cycles t = board.Now();
+  auto inject = [&](Cycles delay, uint8_t tag) {
+    board.InjectAt(t + delay, Board::Frame(20, tag), flow::FlowId{7, tag});
+  };
+  // Tags are injection order; dues are out of order, with ties.
+  inject(500, 0);
+  inject(100, 1);
+  inject(500, 2);
+  inject(100, 3);
+  inject(300, 4);
+  inject(100, 5);
+  EXPECT_EQ(PendingTagsInBoardSection(board),
+            (std::vector<uint8_t>{1, 3, 5, 4, 0, 2}));
+
+  board.StepTo(t + 200);
+  EXPECT_EQ(DrainNicTags(board), (std::vector<uint8_t>{1, 3, 5}));
+  EXPECT_EQ(PendingTagsInBoardSection(board),
+            (std::vector<uint8_t>{4, 0, 2}));
+
+  // A late arrival ties with an earlier one and queues behind it.
+  inject(300, 6);
+  EXPECT_EQ(PendingTagsInBoardSection(board),
+            (std::vector<uint8_t>{4, 6, 0, 2}));
+  board.StepTo(t + 1'000);
+  EXPECT_EQ(DrainNicTags(board), (std::vector<uint8_t>{4, 6, 0, 2}));
+  EXPECT_TRUE(PendingTagsInBoardSection(board).empty());
 }
 
 TEST(FleetTest, FastForwardEnvOverride) {

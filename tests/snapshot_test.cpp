@@ -420,6 +420,53 @@ TEST(SnapshotTest, RestoreRejectsGarbageAndTruncation) {
                snap::SnapshotError);
 }
 
+// A corrupt length in the DEVS section must raise SnapshotError before
+// anything is sized from it: unchecked, the patched latched-frame length
+// zero-fills 4 GiB and the LED event count sizes a 64 GiB log, so the
+// restore dies of std::bad_alloc or exhausts host memory first.
+TEST(SnapshotTest, RestoreRejectsDeviceLengthsBeyondTheSection) {
+  Board a(BuildImage("quickstart"), {});
+  a.Boot();
+  std::vector<uint8_t> blob;
+  a.Snapshot(blob);
+  const snap::Container cold = snap::Container::Parse(blob);
+  ASSERT_TRUE(cold.flags & snap::kColdRestorable);
+
+  // DEVS: UART output, LED state and event list, timer, then the NIC's MAC,
+  // its RX FIFO (empty after boot) and the latched frame.
+  const std::vector<uint8_t>& devs = cold.Require(snap::kSecDevices).body;
+  snap::Reader r(devs);
+  r.Str();
+  r.U32();
+  const size_t led_events_at = devs.size() - r.remaining();
+  ASSERT_EQ(r.U32(), 0u);
+  r.U64();
+  r.Bool();
+  uint8_t mac[6];
+  r.BytesInto(mac, sizeof(mac));
+  ASSERT_EQ(r.U32(), 0u);
+  const size_t latched_length_at = devs.size() - r.remaining();
+
+  auto with_length = [&](size_t offset) {
+    snap::Container c = cold;
+    for (snap::Section& s : c.sections) {
+      if (s.id == snap::kSecDevices) {
+        for (int i = 0; i < 4; ++i) {
+          s.body[offset + static_cast<size_t>(i)] =
+              static_cast<uint8_t>(0xFFFFFFF0u >> (8 * i));
+        }
+      }
+    }
+    return c.Assemble();
+  };
+  EXPECT_THROW(
+      Board::Restore(with_length(latched_length_at), BuildImage("quickstart")),
+      snap::SnapshotError);
+  EXPECT_THROW(
+      Board::Restore(with_length(led_events_at), BuildImage("quickstart")),
+      snap::SnapshotError);
+}
+
 TEST(SnapshotTest, BoardRestoreRejectsFleetSnapshots) {
   auto fleet = MakeFleet(2, 1);
   fleet->Run(cost::kCoreHz / 8);
