@@ -1,9 +1,8 @@
-// Snapshot/restore cost (DESIGN.md §10): serialization throughput, blob
-// sizes and restore wall time for a representative board (mid-run, replay
-// restore) and its cold post-boot snapshot (the warm-boot fixture path),
-// plus warm-boot vs. cold-boot time — the number the test fixture banks on.
-// Every restore self-verifies byte-for-byte, so the times below include the
-// verify; BENCH_snapshot.json records the results with the usual provenance
+// Snapshot/restore cost (DESIGN.md §10): serialization throughput, blob size
+// and restore wall time for a representative mid-run board, plus the boot
+// time every restore starts with (restore is boot, replay of the logged
+// inputs, and a byte-for-byte verify, so the restore time includes all
+// three). BENCH_snapshot.json records the results with the usual provenance
 // stamp.
 #include <benchmark/benchmark.h>
 
@@ -76,7 +75,7 @@ int main(int argc, char** argv) {
               target->name.c_str(),
               static_cast<unsigned long long>(kRunCycles));
 
-  // Mid-run board: snapshot throughput + replay restore time.
+  // Mid-run board: snapshot throughput + restore time.
   sim::Board board(target->build(), {});
   board.Boot();
   board.StepTo(kRunCycles);
@@ -89,29 +88,17 @@ int main(int argc, char** argv) {
     benchmark::DoNotOptimize(restored);
   });
 
-  // Cold post-boot snapshot: the warm-boot fixture path.
-  sim::Board booted(target->build(), {});
-  booted.Boot();
-  std::vector<uint8_t> cold_blob;
-  booted.Snapshot(cold_blob);
-
-  const double cold_boot_s = BestOf(5, [&] {
+  const double boot_s = BestOf(5, [&] {
     sim::Board b(target->build(), {});
     b.Boot();
     benchmark::DoNotOptimize(b.Now());
   });
-  const double warm_boot_s = BestOf(5, [&] {
-    auto b = sim::Board::Restore(cold_blob, target->build());
-    benchmark::DoNotOptimize(b);
-  });
 
-  std::printf("  snapshot:      %.4f s  (%zu bytes, %.1f MB/s)\n", snap_s,
+  std::printf("  snapshot: %.4f s  (%zu bytes, %.1f MB/s)\n", snap_s,
               blob.size(), snap_mbps);
-  std::printf("  replay restore %.4f s  (incl. byte-for-byte verify)\n",
+  std::printf("  restore:  %.4f s  (boot + replay + byte-for-byte verify)\n",
               restore_s);
-  std::printf("  cold boot:     %.4f s  (loader)\n", cold_boot_s);
-  std::printf("  warm boot:     %.4f s  (%zu-byte snapshot, incl. verify)\n",
-              warm_boot_s, cold_blob.size());
+  std::printf("  boot:     %.4f s  (loader)\n", boot_s);
 
   FILE* f = std::fopen(json_path, "w");
   if (!f) {
@@ -125,12 +112,10 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"run_cycles\": %llu,\n",
                static_cast<unsigned long long>(kRunCycles));
   std::fprintf(f, "  \"blob_bytes\": %zu,\n", blob.size());
-  std::fprintf(f, "  \"cold_blob_bytes\": %zu,\n", cold_blob.size());
   std::fprintf(f, "  \"snapshot_seconds\": %.6f,\n", snap_s);
-  std::fprintf(f, "  \"snapshot_mb_per_s\": %.2f,\n", snap_mbps);
-  std::fprintf(f, "  \"replay_restore_seconds\": %.6f,\n", restore_s);
-  std::fprintf(f, "  \"cold_boot_seconds\": %.6f,\n", cold_boot_s);
-  std::fprintf(f, "  \"warm_boot_seconds\": %.6f\n}\n", warm_boot_s);
+  std::fprintf(f, "  \"snapshot_mb_per_sec\": %.2f,\n", snap_mbps);
+  std::fprintf(f, "  \"restore_seconds\": %.6f,\n", restore_s);
+  std::fprintf(f, "  \"boot_seconds\": %.6f\n}\n", boot_s);
   std::fclose(f);
   std::printf("wrote %s\n", json_path);
   return 0;

@@ -659,32 +659,11 @@ void SerializeSite(cheriot::snap::Writer& w, const Allocator::AllocSite& s) {
   w.I32(s.freed_by);
   w.U64(s.freed_at);
 }
-Allocator::AllocSite RestoreSite(cheriot::snap::Reader& r) {
-  Allocator::AllocSite s;
-  s.site_id = r.U32();
-  s.compartment = r.I32();
-  s.seq = r.U64();
-  s.allocated_at = r.U64();
-  s.payload = r.U32();
-  s.size = r.U32();
-  s.quota = r.U8();
-  s.state = static_cast<Allocator::SiteState>(r.U8());
-  s.freed_by = r.I32();
-  s.freed_at = r.U64();
-  return s;
-}
 template <typename Set>
 void SerializeAddressSet(cheriot::snap::Writer& w, const Set& set) {
   w.U32(static_cast<uint32_t>(set.size()));
   for (Address a : set) {
     w.U32(a);
-  }
-}
-void RestoreAddressSet(cheriot::snap::Reader& r, std::set<Address>& set) {
-  set.clear();
-  const uint32_t n = r.U32();
-  for (uint32_t i = 0; i < n; ++i) {
-    set.insert(r.U32());
   }
 }
 }  // namespace
@@ -719,43 +698,6 @@ void Allocator::SerializeState(snap::Writer& w) const {
   w.I32(service_compartment_);
   w.U32(live_native_);
   w.U32(quarantined_native_);
-}
-
-void Allocator::RestoreState(snap::Reader& r) {
-  RestoreAddressSet(r, free_chunks_);
-  RestoreAddressSet(r, used_);
-  quarantine_.clear();
-  const uint32_t quarantined = r.U32();
-  for (uint32_t i = 0; i < quarantined; ++i) {
-    quarantine_.push_back(r.U32());
-  }
-  claims_.clear();
-  const uint32_t claims = r.U32();
-  for (uint32_t i = 0; i < claims; ++i) {
-    const Address payload = r.U32();
-    auto& per_quota = claims_[payload];
-    const uint32_t quotas = r.U32();
-    for (uint32_t j = 0; j < quotas; ++j) {
-      const uint32_t quota = r.U32();
-      per_quota[quota] = r.U32();
-    }
-  }
-  RestoreAddressSet(r, pending_free_);
-  sites_.clear();
-  const uint32_t sites = r.U32();
-  for (uint32_t i = 0; i < sites; ++i) {
-    const Address chunk = r.U32();
-    sites_[chunk] = RestoreSite(r);
-  }
-  retired_.clear();
-  const uint32_t retired = r.U32();
-  for (uint32_t i = 0; i < retired; ++i) {
-    retired_.push_back(RestoreSite(r));
-  }
-  site_seq_ = r.U64();
-  service_compartment_ = r.I32();
-  live_native_ = r.U32();
-  quarantined_native_ = r.U32();
 }
 
 }  // namespace cheriot

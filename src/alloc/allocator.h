@@ -29,7 +29,6 @@ class CompartmentCtx;
 
 namespace snap {
 class Writer;
-class Reader;
 }  // namespace snap
 
 class Allocator {
@@ -123,13 +122,12 @@ class Allocator {
   // Unseals an allocation capability; returns untagged cap on failure.
   Capability UnsealAllocCap(const Capability& alloc_cap) const;
 
-  // Snapshot save/restore (DESIGN.md §10): the native bookkeeping mirrors
+  // Snapshot serialisation (DESIGN.md §10): the native bookkeeping mirrors
   // and the alloc-site provenance table. The in-band chunk headers live in
-  // SRAM (memory section); heap_root_/heap_base_/heap_size_ are re-derived
-  // by Init() from boot info on the restore path, so only the mirrors that
-  // accumulate at run time are serialised here.
+  // SRAM (memory section) and heap_root_/heap_base_/heap_size_ come from
+  // boot info, so only the mirrors that accumulate at run time are written
+  // here.
   void SerializeState(snap::Writer& w) const;
-  void RestoreState(snap::Reader& r);
 
  private:
   struct Header {

@@ -114,14 +114,9 @@ class Bitmap {
   }
 
   // Word-granular access for snapshot serialisation (DESIGN.md §10): the
-  // packed words are the canonical on-disk form, so save/restore moves them
+  // packed words are the canonical on-disk form, so they are written
   // wholesale instead of bit-by-bit.
   const std::vector<uint64_t>& words() const { return words_; }
-  void RestoreWords(const std::vector<uint64_t>& words) {
-    if (words.size() == words_.size()) {
-      words_ = words;
-    }
-  }
 
  private:
   void Apply(size_t word, uint64_t mask, bool value) {

@@ -55,14 +55,8 @@ class CycleClock {
     raw_hook_ctx_ = ctx;
   }
 
-  // Snapshot restore (DESIGN.md §10): seats the clock at a saved time
-  // WITHOUT firing any hook — the restored components are given their own
-  // saved state, so replaying background work here would double-apply it.
-  void RestoreNow(Cycles now) { now_ = now; }
-
-  // Rebind audit handles: Machine::RebindHostHandles() re-seats the raw hook
-  // after a restore; these let it (and tests) prove the context pointer no
-  // longer dangles into a dead Machine.
+  // Hook audit handles: let tests prove a restored board's raw hook points
+  // at its own Machine, not into the one the snapshot was taken from.
   RawTickHook raw_hook() const { return raw_hook_; }
   const void* raw_hook_ctx() const { return raw_hook_ctx_; }
 

@@ -60,23 +60,6 @@ class Capability {
     return c;
   }
 
-  // Rebuilds a capability from its serialised fields (snapshot restore,
-  // DESIGN.md §10). This is NOT a derivation — it can mint any capability —
-  // so it is reserved for the snapshot layer, which only ever round-trips
-  // values that were produced by legitimate derivations.
-  static constexpr Capability FromRaw(Address cursor, Address base, Address top,
-                                      uint16_t perm_bits, uint8_t otype,
-                                      bool tag) {
-    Capability c;
-    c.cursor_ = cursor;
-    c.base_ = base;
-    c.top_ = top;
-    c.perms_ = PermissionSet(perm_bits);
-    c.otype_ = static_cast<OType>(otype);
-    c.tag_ = tag;
-    return c;
-  }
-
   // --- Root capabilities (held only by the loader at boot, §3.1.1) ---
   static Capability RootReadWrite(Address base, Address top);
   static Capability RootExecute(Address base, Address top);

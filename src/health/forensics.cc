@@ -63,9 +63,7 @@ std::vector<DecodedCap> DecodeRegisterFile(const RegisterFile& regs) {
 }
 
 ForensicsRecorder::ForensicsRecorder(ForensicsOptions options)
-    : options_(options) {
-  ring_.resize(options_.ring_capacity);
-}
+    : options_(options) {}
 
 void ForensicsRecorder::SetCompartmentNames(std::vector<std::string> names) {
   compartment_names_ = std::move(names);
@@ -140,14 +138,19 @@ uint64_t ForensicsRecorder::Record(CrashRecord record) {
   }
   const uint64_t seq = record.seq;
   const bool has_scene = !record.scene.empty();
-  if (ring_.empty()) {
-    ++dropped_;
-    return seq;
-  }
   if (count_ == ring_.size()) {
-    start_ = (start_ + 1) % ring_.size();
-    --count_;
-    ++dropped_;
+    // Grows on demand up to its capacity, like the trace ring; once full,
+    // the oldest record makes room.
+    if (ring_.size() < options_.ring_capacity) {
+      ring_.emplace_back();
+    } else if (ring_.empty()) {
+      ++dropped_;
+      return seq;
+    } else {
+      start_ = (start_ + 1) % ring_.size();
+      --count_;
+      ++dropped_;
+    }
   }
   ring_[(start_ + count_) % ring_.size()] = std::move(record);
   ++count_;

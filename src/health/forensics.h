@@ -110,8 +110,9 @@ struct CrashRecord {
 };
 
 struct ForensicsOptions {
-  // Crash-record ring capacity; oldest records are dropped (and counted)
-  // once the ring is full, deterministically.
+  // Crash-record ring capacity; the ring grows on demand up to it, and the
+  // oldest records are dropped (and counted) once it is full,
+  // deterministically.
   size_t ring_capacity = 256;
   // Per-compartment micro-reboot history depth (reboot-loop detection).
   size_t reboot_history = 32;

@@ -145,16 +145,9 @@ void SerializeFrame(snap::Writer& w, const EthernetDevice::Frame& f) {
   w.U32(static_cast<uint32_t>(f.size()));
   w.Bytes(f.data(), f.size());
 }
-EthernetDevice::Frame RestoreFrame(snap::Reader& r) {
-  EthernetDevice::Frame f(r.Count(1));
-  r.BytesInto(f.data(), f.size());
-  return f;
-}
 }  // namespace
 
 void Uart::SerializeState(snap::Writer& w) const { w.Str(output_); }
-
-void Uart::RestoreState(snap::Reader& r) { output_ = r.Str(); }
 
 void LedBank::SerializeState(snap::Writer& w) const {
   w.U32(state_);
@@ -165,23 +158,9 @@ void LedBank::SerializeState(snap::Writer& w) const {
   }
 }
 
-void LedBank::RestoreState(snap::Reader& r) {
-  state_ = r.U32();
-  events_.resize(r.Count(12));  // at + mask
-  for (Event& e : events_) {
-    e.at = r.U64();
-    e.mask = r.U32();
-  }
-}
-
 void Timer::SerializeState(snap::Writer& w) const {
   w.U64(mtimecmp_);
   w.Bool(armed_);
-}
-
-void Timer::RestoreState(snap::Reader& r) {
-  mtimecmp_ = r.U64();
-  armed_ = r.Bool();
 }
 
 void EthernetDevice::SerializeState(snap::Writer& w) const {
@@ -196,21 +175,6 @@ void EthernetDevice::SerializeState(snap::Writer& w) const {
   w.U64(tx_expected_);
 }
 
-void EthernetDevice::RestoreState(snap::Reader& r) {
-  r.BytesInto(mac_.data(), mac_.size());
-  rx_.clear();
-  const uint32_t pending = r.U32();
-  for (uint32_t i = 0; i < pending; ++i) {
-    rx_.push_back(RestoreFrame(r));
-  }
-  rx_latched_ = RestoreFrame(r);
-  rx_read_pos_ = r.U64();
-  tx_building_ = RestoreFrame(r);
-  tx_expected_ = r.U64();
-}
-
 void EntropySource::SerializeState(snap::Writer& w) const { w.U64(state_); }
-
-void EntropySource::RestoreState(snap::Reader& r) { state_ = r.U64(); }
 
 }  // namespace cheriot

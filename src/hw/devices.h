@@ -20,7 +20,6 @@ namespace cheriot {
 
 namespace snap {
 class Writer;
-class Reader;
 }  // namespace snap
 
 // Fixed MMIO map of the simulated SoC.
@@ -50,8 +49,6 @@ class InterruptController {
   }
   bool AnyPending() const { return pending_ != 0; }
   uint32_t pending_mask() const { return pending_; }
-  // Snapshot restore only (DESIGN.md §10).
-  void RestorePendingMask(uint32_t mask) { pending_ = mask; }
 
  private:
   uint32_t pending_ = 0;
@@ -65,7 +62,6 @@ class Uart {
   const std::string& output() const { return output_; }
   void set_echo(bool echo) { echo_ = echo; }
   void SerializeState(snap::Writer& w) const;
-  void RestoreState(snap::Reader& r);
 
  private:
   std::string output_;
@@ -86,7 +82,6 @@ class LedBank {
   Word state() const { return state_; }
   const std::vector<Event>& events() const { return events_; }
   void SerializeState(snap::Writer& w) const;
-  void RestoreState(snap::Reader& r);
 
  private:
   CycleClock* clock_;
@@ -116,7 +111,6 @@ class Timer {
   Cycles deadline() const { return mtimecmp_; }
   bool armed() const { return armed_; }
   void SerializeState(snap::Writer& w) const;
-  void RestoreState(snap::Reader& r);
 
  private:
   CycleClock* clock_;
@@ -152,11 +146,10 @@ class EthernetDevice {
   void set_mac(const Mac& mac) { mac_ = mac; }
   const Mac& mac() const { return mac_; }
 
-  // Snapshot save/restore (DESIGN.md §10): RX/TX queues and latch state are
-  // guest-visible; the on_transmit callback is a host handle the owning
-  // Board re-wires itself.
+  // Snapshot serialisation (DESIGN.md §10): RX/TX queues and latch state
+  // are guest-visible; the on_transmit callback is a host handle and is
+  // never written.
   void SerializeState(snap::Writer& w) const;
-  void RestoreState(snap::Reader& r);
 
  private:
   InterruptController* irqs_;
@@ -176,7 +169,6 @@ class EntropySource {
   Word Mmio(Address offset, bool is_store, Word value);
   Word Next();
   void SerializeState(snap::Writer& w) const;
-  void RestoreState(snap::Reader& r);
 
  private:
   uint64_t state_;

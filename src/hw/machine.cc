@@ -29,10 +29,6 @@ Machine::Machine(const MachineConfig& config)
   // Background hardware advances with the clock. Registered as the raw hook:
   // this dispatch happens on every simulated access, so it must not pay a
   // std::function indirection.
-  RebindHostHandles();
-}
-
-void Machine::RebindHostHandles() {
   clock_.SetRawHook(
       [](void* self, Cycles delta) {
         auto* machine = static_cast<Machine*>(self);
@@ -40,7 +36,6 @@ void Machine::RebindHostHandles() {
         machine->timer_.Poll();
       },
       this);
-  revoker_.set_trace(trace_);
 }
 
 bool Machine::HasFutureEvent() const {

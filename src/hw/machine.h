@@ -110,16 +110,6 @@ class Machine {
   // Same, but ignores the CPU-armed timer (used for deadlock detection).
   bool HasFutureEventIgnoringTimer() const;
 
-  // Snapshot restore support (DESIGN.md §10): re-seats every raw pointer
-  // this machine hands out to its own components — the PR 1 raw clock hook
-  // (revoker + timer background work) and the device-side trace pointer.
-  // Guest state is serialised per-component by the Board (clock, SRAM/tags/
-  // revocation, IRQ lines, devices, revoker); host handles (MMIO closures,
-  // this hook, next-event sources) are never serialised — they are rebound
-  // here so nothing dangles into the machine the snapshot was taken from.
-  // Idempotent; asserted by tests via CycleClock::raw_hook_ctx().
-  void RebindHostHandles();
-
  private:
   MachineConfig config_;
   CycleClock clock_;

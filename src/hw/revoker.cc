@@ -113,13 +113,4 @@ void Revoker::SerializeState(snap::Writer& w) const {
   w.U64(budget_);
 }
 
-void Revoker::RestoreState(snap::Reader& r) {
-  sweeping_ = r.Bool();
-  restart_requested_ = r.Bool();
-  irq_requested_ = r.Bool();
-  epoch_ = r.U32();
-  next_granule_ = r.U64();
-  budget_ = r.U64();
-}
-
 }  // namespace cheriot

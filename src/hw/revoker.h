@@ -53,10 +53,9 @@ class Revoker {
   // here because only the revoker knows when a sweep actually completes.
   void set_trace(trace::TraceRecorder* recorder) { trace_ = recorder; }
 
-  // Snapshot save/restore (DESIGN.md §10): sweep progress is guest-visible
+  // Snapshot serialisation (DESIGN.md §10): sweep progress is guest-visible
   // state; memory_/irqs_/trace_ are host handles owned by the Machine.
   void SerializeState(snap::Writer& w) const;
-  void RestoreState(snap::Reader& r);
 
  private:
   void AdvanceSweep(Cycles delta);

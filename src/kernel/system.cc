@@ -1017,72 +1017,7 @@ FirmwareImage System::AugmentWithTcb(FirmwareImage image) {
   return augmented;
 }
 
-// --- Snapshot save/restore (DESIGN.md §10) ---------------------------------
-
-void System::BootFromSnapshot(snap::Reader& r) {
-  CHERIOT_CHECK(!booted_, "BootFromSnapshot on an already-booted system");
-  // The cold restore path regenerates no history, so recorders attached now
-  // would start from an inconsistent blank; boards that need tracing across
-  // a restore use the replay path instead.
-  CHERIOT_CHECK(machine_.trace() == nullptr &&
-                    machine_.forensics() == nullptr &&
-                    machine_.cov() == nullptr,
-                "cold snapshot restore forbids attached recorders");
-  boot_ = DeserializeBootInfo(r);
-  boot_->image = std::move(image_);
-
-  // Rebind host-side handles: the serialized capability graph references the
-  // image's native closures only through def/state, which cannot cross a
-  // snapshot. Match by position and verify by name — the augmented image is
-  // rebuilt by the same deterministic code that produced the snapshot.
-  if (boot_->compartments.size() != boot_->image.compartments.size()) {
-    throw snap::SnapshotError("snapshot compartment count mismatch");
-  }
-  for (size_t i = 0; i < boot_->compartments.size(); ++i) {
-    CompartmentRuntime& rt = boot_->compartments[i];
-    CompartmentDef& def = boot_->image.compartments[i];
-    if (rt.name != def.name) {
-      throw snap::SnapshotError("snapshot compartment name mismatch: " +
-                                rt.name + " vs " + def.name);
-    }
-    rt.def = &def;
-    rt.state = def.state_factory ? def.state_factory() : nullptr;
-  }
-  if (boot_->libraries.size() != boot_->image.libraries.size()) {
-    throw snap::SnapshotError("snapshot library count mismatch");
-  }
-  for (size_t i = 0; i < boot_->libraries.size(); ++i) {
-    LibraryRuntime& rt = boot_->libraries[i];
-    LibraryDef& def = boot_->image.libraries[i];
-    if (rt.name != def.name) {
-      throw snap::SnapshotError("snapshot library name mismatch: " + rt.name +
-                                " vs " + def.name);
-    }
-    rt.def = &def;
-  }
-
-  sched_ = std::make_unique<Scheduler>(&threads_);
-  switcher_ = std::make_unique<Switcher>(this);
-  alloc_ = std::make_unique<Allocator>(this);
-  token_ = std::make_unique<TokenService>(this);
-  // Init() re-derives the allocator's privileged heap capability and writes
-  // the initial heap header / clock ticks; the caller's subsequent section
-  // restores (SRAM, CLCK, ALOC) overwrite those effects with saved state.
-  alloc_->Init();
-  token_->Init();
-
-  const int sched_comp = boot_->CompartmentIndex("sched");
-  const Address sched_globals = boot_->compartments[sched_comp].globals_base;
-  for (size_t i = 0; i < static_cast<size_t>(IrqLine::kCount); ++i) {
-    sched_->SetInterruptFutexAddress(
-        static_cast<IrqLine>(i), sched_globals + 4 * static_cast<Address>(i));
-  }
-
-  CreateThreads();
-  machine_.memory().SetAccessHook(
-      [](void* self) { static_cast<System*>(self)->PreemptCheck(); }, this);
-  booted_ = true;
-}
+// --- Snapshot (DESIGN.md §10) ---------------------------------------------
 
 void System::SerializeState(snap::Writer& w) const {
   w.I32(current_thread_id_);
@@ -1133,77 +1068,14 @@ void System::SerializeState(snap::Writer& w) const {
   }
 
   // Mutable micro-reboot bookkeeping lives here (not in the BOOT section) so
-  // a long-running board's BOOT section stays byte-identical to cold boot.
+  // a long-running board's BOOT section stays byte-identical to its
+  // post-boot form.
   w.U32(static_cast<uint32_t>(boot_->compartments.size()));
   for (const CompartmentRuntime& c : boot_->compartments) {
     w.Bool(c.call_guard_closed);
     w.U32(c.reboot_count);
     w.U64(c.last_reboot_at);
     w.U64(c.last_reboot_duration);
-  }
-}
-
-void System::RestoreState(snap::Reader& r) {
-  current_thread_id_ = r.I32();
-  starting_thread_id_ = r.I32();
-  paused_thread_id_ = r.I32();
-  in_kernel_ = r.Bool();
-  need_resched_ = r.Bool();
-  stop_requested_ = r.Bool();
-  deadlocked_ = r.Bool();
-  quantum_end_ = r.U64();
-  run_deadline_ = r.U64();
-
-  const uint32_t n_threads = r.U32();
-  if (n_threads != threads_.size()) {
-    throw snap::SnapshotError("snapshot thread count mismatch");
-  }
-  for (GuestThread& t : threads_) {
-    t.priority = r.U16();
-    t.state = static_cast<GuestThread::State>(r.U8());
-    t.stack_base = r.U32();
-    t.stack_size = r.U32();
-    t.sp = r.U32();
-    t.high_water = r.U32();
-    t.stack_cap = r.Cap();
-    t.trusted_stack_base = r.U32();
-    t.max_frames = r.U16();
-    t.frame_depth = r.U16();
-    t.current_compartment = r.I32();
-    t.compartment_stack.resize(r.Count(4));
-    for (int& c : t.compartment_stack) {
-      c = r.I32();
-    }
-    t.interrupts_enabled = r.Bool();
-    t.hazard_slots[0] = r.U32();
-    t.hazard_slots[1] = r.U32();
-    t.forced_unwind.clear();
-    const uint32_t n_unwind = r.U32();
-    for (uint32_t i = 0; i < n_unwind; ++i) {
-      t.forced_unwind.insert(r.I32());
-    }
-    t.futex_addr = r.U32();
-    t.wake_at = r.U64();
-    t.timed_out = r.Bool();
-    t.multiwaiter_id = r.I32();
-    t.block_seq = r.U64();
-    t.entry_compartment = r.I32();
-    t.entry_export = r.I32();
-    t.started = r.Bool();
-    t.run_cycles = r.U64();
-    t.compartment_calls = r.U32();
-    t.peak_stack_bytes = r.U32();
-  }
-
-  const uint32_t n_comps = r.U32();
-  if (n_comps != boot_->compartments.size()) {
-    throw snap::SnapshotError("snapshot compartment-state count mismatch");
-  }
-  for (CompartmentRuntime& c : boot_->compartments) {
-    c.call_guard_closed = r.Bool();
-    c.reboot_count = r.U32();
-    c.last_reboot_at = r.U64();
-    c.last_reboot_duration = r.U64();
   }
 }
 

@@ -52,22 +52,13 @@ class System {
   // Runs the loader, initializes the TCB and creates thread fibers.
   void Boot();
 
-  // Cold-boot from a serialized BOOT section (DESIGN.md §10): skips the
-  // loader entirely, deserializes the boot-time capability graph and rebinds
-  // the host-side handles (CompartmentDef/LibraryDef pointers, native state
-  // objects) against the freshly augmented image by name. The caller then
-  // restores the per-subsystem state sections on top. Only valid on a
-  // machine with no recorders attached and a system that has not booted.
-  void BootFromSnapshot(snap::Reader& r);
-
-  // Snapshot save/restore of kernel guest state (DESIGN.md §10): scheduler-
-  // visible scalars, every thread's guest-architectural fields, and the
-  // compartments' mutable micro-reboot bookkeeping (kept here so the BOOT
-  // section stays byte-identical over a board's lifetime). Host fiber state
-  // (ucontext, host_stack, tsan_fiber) is never serialized — restarted
-  // threads are reconstructed by replay or start cold.
+  // Snapshot serialisation of kernel guest state (DESIGN.md §10):
+  // scheduler-visible scalars, every thread's guest-architectural fields,
+  // and the compartments' mutable micro-reboot bookkeeping (kept here so the
+  // BOOT section stays byte-identical over a board's lifetime). Host fiber
+  // state (ucontext, host_stack, tsan_fiber) is never serialized — a
+  // restore rebuilds it by replay.
   void SerializeState(snap::Writer& w) const;
-  void RestoreState(snap::Reader& r);
 
   // Runs until every thread exits, the cycle budget is exhausted, or the
   // system deadlocks (all threads blocked with no pending event).

@@ -556,88 +556,4 @@ void SerializeBootInfo(snap::Writer& w, const BootInfo& boot) {
   }
 }
 
-std::unique_ptr<BootInfo> DeserializeBootInfo(snap::Reader& r) {
-  auto boot = std::make_unique<BootInfo>();
-  // Each Count() bound is the element's smallest encoding: fixed fields plus
-  // empty strings and empty nested lists.
-  boot->compartments.resize(r.Count(66));
-  for (CompartmentRuntime& c : boot->compartments) {
-    c.id = r.I32();
-    c.name = r.Str();
-    c.pcc = r.Cap();
-    c.cgp = r.Cap();
-    c.code_base = r.U32();
-    c.code_size = r.U32();
-    c.globals_base = r.U32();
-    c.globals_size = r.U32();
-    c.export_table = r.U32();
-    c.import_table = r.U32();
-    c.imports.resize(r.Count(34));
-    for (ImportBinding& b : c.imports) {
-      b.kind = static_cast<ImportBinding::Kind>(r.U8());
-      b.qualified_name = r.Str();
-      b.cap = r.Cap();
-      b.target_compartment = r.I32();
-      b.target_library = r.I32();
-      b.target_export = r.I32();
-      b.slot_address = r.U32();
-    }
-    c.globals_snapshot.resize(r.Count(1));
-    r.BytesInto(c.globals_snapshot.data(), c.globals_snapshot.size());
-  }
-  boot->libraries.resize(r.Count(29));
-  for (LibraryRuntime& l : boot->libraries) {
-    l.id = r.I32();
-    l.name = r.Str();
-    l.code_cap = r.Cap();
-    l.code_base = r.U32();
-    l.code_size = r.U32();
-  }
-  boot->threads.resize(r.Count(32));
-  for (ThreadLayout& t : boot->threads) {
-    t.name = r.Str();
-    t.priority = r.U16();
-    t.stack_base = r.U32();
-    t.stack_size = r.U32();
-    t.trusted_stack_base = r.U32();
-    t.trusted_stack_size = r.U32();
-    t.max_frames = r.U16();
-    t.entry_compartment = r.I32();
-    t.entry_export = r.I32();
-  }
-  boot->heap_base = r.U32();
-  boot->heap_size = r.U32();
-  boot->heap_root = r.Cap();
-  boot->trusted_stack_root = r.Cap();
-  boot->switcher_seal_key = r.Cap();
-  boot->allocator_seal_key = r.Cap();
-  boot->token_seal_key = r.Cap();
-  boot->globals_root = r.Cap();
-  const uint32_t vtypes = r.U32();
-  for (uint32_t i = 0; i < vtypes; ++i) {
-    const std::string name = r.Str();
-    boot->virtual_type_ids[name] = r.U32();
-  }
-  boot->next_virtual_type_id = r.U32();
-  const uint32_t exports = r.U32();
-  for (uint32_t i = 0; i < exports; ++i) {
-    const Address addr = r.U32();
-    boot->export_table_index[addr] = r.I32();
-  }
-  boot->stats.code_bytes = r.U32();
-  boot->stats.metadata_bytes = r.U32();
-  boot->stats.sealed_object_bytes = r.U32();
-  boot->stats.globals_bytes = r.U32();
-  boot->stats.stack_bytes = r.U32();
-  boot->stats.trusted_stack_bytes = r.U32();
-  boot->stats.loader_scratch_bytes = r.U32();
-  boot->stats.heap_bytes = r.U32();
-  const uint32_t per_comp = r.U32();
-  for (uint32_t i = 0; i < per_comp; ++i) {
-    const std::string name = r.Str();
-    boot->stats.per_compartment_metadata[name] = r.U32();
-  }
-  return boot;
-}
-
 }  // namespace cheriot

@@ -146,19 +146,16 @@ class Loader {
 
 namespace snap {
 class Writer;
-class Reader;
 }  // namespace snap
 
-// Snapshot save/restore of the boot-time capability graph (DESIGN.md §10).
-// Everything the loader computed is serialised EXCEPT the host-side handles:
+// Snapshot serialisation of the boot-time capability graph (DESIGN.md §10).
+// Everything the loader computed is written EXCEPT the host-side handles:
 // CompartmentRuntime::def/state and LibraryRuntime::def point into the
-// firmware image's native closures and are rebound by
-// System::BootFromSnapshot against a freshly built image (matched by name).
-// The mutable micro-reboot bookkeeping (call_guard_closed, reboot counts)
-// is owned by the kernel section, not serialised here, so the BOOT section
-// of a long-running board stays byte-identical to its cold form.
+// firmware image's native closures, which cannot cross a snapshot. The
+// mutable micro-reboot bookkeeping (call_guard_closed, reboot counts) is
+// owned by the kernel section, not written here, so the BOOT section of a
+// long-running board stays byte-identical to its post-boot form.
 void SerializeBootInfo(snap::Writer& w, const BootInfo& boot);
-std::unique_ptr<BootInfo> DeserializeBootInfo(snap::Reader& r);
 
 }  // namespace cheriot
 

@@ -169,6 +169,7 @@ class Footprints {
 
 // Everything one schedule run produces that the explorer needs afterwards.
 struct RunOutcome {
+  Cycles boot_cycle = 0;  // guest clock after Boot(), where the run starts
   std::vector<Decision> decisions;
   System::RunResult result = System::RunResult::kBudgetExhausted;
   uint64_t uart_bytes = 0;
@@ -199,34 +200,36 @@ std::string AnomalyKeyName(const std::pair<int, int>& key,
          " (compartment " + CompartmentLabel(key.second, names) + ")";
 }
 
-RunOutcome RunSchedule(const std::vector<uint8_t>& root_blob,
-                       const std::function<FirmwareImage()>& make_image,
-                       const std::vector<int>& prefix, Cycles target) {
-  auto board = sim::Board::Restore(root_blob, make_image());
-  board->set_op_log_enabled(false);
+// Runs one schedule by plain prefix re-execution: a fresh board, booted with
+// forensics attached (the trap oracle reads its crash records), runs
+// `cycles` past boot under an arbiter that forces `prefix`.
+RunOutcome RunSchedule(const std::function<FirmwareImage()>& make_image,
+                       const std::vector<int>& prefix, Cycles cycles) {
+  sim::Board board(make_image(), {});
+  health::ForensicsRecorder* forensics = board.EnableForensics();
+  board.Boot();
   RecordingArbiter arbiter(prefix);
-  Memory& mem = board->machine().memory();
+  Memory& mem = board.machine().memory();
   Footprints footprints(mem.sram_base(), mem.sram_size());
-  footprints.Bind(&board->system(), &arbiter.decisions());
-  board->SetArbiter(&arbiter);
+  footprints.Bind(&board.system(), &arbiter.decisions());
+  board.SetArbiter(&arbiter);
   mem.SetAccessObserver(&Footprints::Observe, &footprints);
 
   RunOutcome out;
-  out.result = board->StepTo(target);
+  out.boot_cycle = board.Now();
+  out.result = board.StepTo(out.boot_cycle + cycles);
 
   mem.SetAccessObserver(nullptr, nullptr);
-  board->SetArbiter(nullptr);
+  board.SetArbiter(nullptr);
 
-  const sim::Board::Fingerprint fp = board->fingerprint();
+  const sim::Board::Fingerprint fp = board.fingerprint();
   out.uart_bytes = fp.uart_bytes;
   out.uart_hash = fp.uart_hash;
   out.reboots = fp.reboots;
-  if (auto* fr = board->forensics_recorder()) {
-    for (const health::CrashRecord& rec : fr->Records()) {
-      out.trap_keys.emplace(static_cast<int>(rec.cause), rec.compartment);
-    }
+  for (const health::CrashRecord& rec : forensics->Records()) {
+    out.trap_keys.emplace(static_cast<int>(rec.cause), rec.compartment);
   }
-  const health::BoardHealth bh = health::AssessBoard(*board);
+  const health::BoardHealth bh = health::AssessBoard(board);
   for (const health::Anomaly& a : bh.anomalies) {
     // kStuckBoard duplicates the explorer's own deadlock oracle.
     if (a.detector != health::Detector::kStuckBoard) {
@@ -293,23 +296,10 @@ McReport Explore(const std::string& image_name,
   report.image = image_name;
   report.options = options;
 
-  // Root snapshot: boot once with forensics attached (the trap oracle needs
-  // it, and attaching it here means every forked schedule inherits it
-  // through Restore). The snapshot is taken before any guest instruction
-  // runs, so its replay log is empty and restores are cheap re-boots.
-  std::vector<uint8_t> root_blob;
   std::vector<std::string> comp_names;
   for (const CompartmentDef& c : make_image().compartments) {
     comp_names.push_back(c.name);
   }
-  {
-    sim::Board root(make_image(), {});
-    root.EnableForensics();
-    root.Boot();
-    root.Snapshot(root_blob);
-    report.root_cycle = root.Now();
-  }
-  const Cycles target = report.root_cycle + options.cycles;
 
   // Frontier of schedule prefixes, ordered by (non-default choice count,
   // insertion order): the first failure found is minimal.
@@ -327,8 +317,8 @@ McReport Explore(const std::string& image_name,
   uint64_t next_seq = 0;
   frontier.push({0, next_seq++, {}});
 
-  // De-duplication guard: restore-and-replay is deterministic, so equal
-  // prefixes produce equal runs.
+  // De-duplication guard: execution is deterministic, so equal prefixes
+  // produce equal runs.
   std::set<std::vector<int>> seen;
   seen.insert({});
 
@@ -340,12 +330,12 @@ McReport Explore(const std::string& image_name,
     const Entry entry = frontier.top();
     frontier.pop();
     const int schedule_index = report.schedules_explored;
-    RunOutcome out =
-        RunSchedule(root_blob, make_image, entry.prefix, target);
+    RunOutcome out = RunSchedule(make_image, entry.prefix, options.cycles);
     ++report.schedules_explored;
     if (!have_baseline) {
       baseline = out;
       have_baseline = true;
+      report.root_cycle = out.boot_cycle;
       report.baseline_result = RunResultName(out.result);
     }
 

@@ -1,14 +1,14 @@
-// cheriot-mc: snapshot-forking systematic concurrency exploration
+// cheriot-mc: systematic concurrency exploration by prefix re-execution
 // (DESIGN.md §12).
 //
-// The explorer boots a firmware image once, snapshots the board (the PR 7
-// container), then explores the schedule space by restore-and-replay: each
-// schedule is a fresh board restored from the root snapshot and run under a
+// Each schedule is a freshly constructed and booted board, run under a
 // recording arbiter that forces a prefix of schedule choices and takes the
-// default everywhere else. Every decision the kernel consults the arbiter
-// about (src/kernel/schedule_arbiter.h) is a branch point; alternatives are
-// enqueued into a frontier ordered by (non-default choice count, insertion
-// order), so the first failing schedule found is a minimal reproduction.
+// default everywhere else. Execution is deterministic, so re-executing a
+// prefix reproduces the run it came from. Every decision the kernel consults
+// the arbiter about (src/kernel/schedule_arbiter.h) is a branch point;
+// alternatives are enqueued into a frontier ordered by (non-default choice
+// count, insertion order), so the first failing schedule found is a minimal
+// reproduction.
 //
 // Partial-order reduction: while a schedule runs, a passive memory-access
 // observer harvests per-thread read/write footprints (8-byte granules; all
@@ -56,7 +56,7 @@ struct McOptions {
   int preempt_bound = 2;
   // Branch on fault-injection kinds (alloc-fail, nic-loss) too.
   bool inject_faults = false;
-  // Guest cycles each schedule runs past the root snapshot.
+  // Guest cycles each schedule runs past the end of Boot().
   Cycles cycles = 2'000'000;
   // Cap on reported failures (exploration continues past it).
   int max_failures = 16;
@@ -95,7 +95,7 @@ struct Failure {
 struct McReport {
   std::string image;
   McOptions options;
-  Cycles root_cycle = 0;  // guest clock at the root snapshot
+  Cycles root_cycle = 0;  // guest clock after Boot(), where schedules start
   int schedules_explored = 0;
   int branch_points = 0;           // decisions with >1 eligible alternative
   uint64_t alternatives_enqueued = 0;
@@ -123,7 +123,7 @@ struct McReport {
 };
 
 // Explores `image`'s schedule space. The factory is invoked once per
-// schedule (Board::Restore needs a fresh host-side image each time).
+// schedule (each schedule boots a fresh board, which owns its image).
 McReport Explore(const std::string& image_name,
                  const std::function<FirmwareImage()>& make_image,
                  const McOptions& options = {});

@@ -277,29 +277,11 @@ void SerializeBitmapWords(snap::Writer& w, const Bitmap& b) {
     w.U64(word);
   }
 }
-void RestoreBitmapWords(snap::Reader& r, Bitmap& b) {
-  const uint64_t bits = r.U64();
-  if (bits != b.size()) {
-    throw snap::SnapshotError("bitmap size mismatch in snapshot");
-  }
-  std::vector<uint64_t> words(b.words().size());
-  for (uint64_t& word : words) {
-    word = r.U64();
-  }
-  b.RestoreWords(words);
-}
 }  // namespace
 
 void RevocationMap::SerializeState(snap::Writer& w) const {
   w.U32(base_);
   SerializeBitmapWords(w, bits_);
-}
-
-void RevocationMap::RestoreState(snap::Reader& r) {
-  if (r.U32() != base_) {
-    throw snap::SnapshotError("revocation map base mismatch");
-  }
-  RestoreBitmapWords(r, bits_);
 }
 
 void Memory::SerializeState(snap::Writer& w) const {
@@ -320,27 +302,6 @@ void Memory::SerializeState(snap::Writer& w) const {
   w.U64(cap_loads_);
   w.U64(cap_stores_);
   w.Bool(checks_enabled_);
-}
-
-void Memory::RestoreState(snap::Reader& r) {
-  if (r.U32() != sram_base_ || r.U32() != sram_size_) {
-    throw snap::SnapshotError("SRAM geometry mismatch");
-  }
-  r.BytesInto(bytes_.data(), bytes_.size());
-  RestoreBitmapWords(r, tags_);
-  std::fill(shadow_.begin(), shadow_.end(), Capability());
-  for (size_t g = tags_.FindNextSet(0); g != Bitmap::npos;
-       g = tags_.FindNextSet(g + 1)) {
-    if (r.U64() != g) {
-      throw snap::SnapshotError("shadow capability index mismatch");
-    }
-    shadow_[g] = r.Cap();
-  }
-  revocation_.RestoreState(r);
-  access_count_ = r.U64();
-  cap_loads_ = r.U64();
-  cap_stores_ = r.U64();
-  checks_enabled_ = r.Bool();
 }
 
 }  // namespace cheriot

@@ -36,7 +36,6 @@ namespace cheriot {
 
 namespace snap {
 class Writer;
-class Reader;
 }  // namespace snap
 
 // Tracks the revocation bit for each heap granule (stored in a dedicated
@@ -76,9 +75,8 @@ class RevocationMap {
                    value);
   }
 
-  // Snapshot save/restore of the packed revocation words (DESIGN.md §10).
+  // Snapshot serialisation of the packed revocation words (DESIGN.md §10).
   void SerializeState(snap::Writer& w) const;
-  void RestoreState(snap::Reader& r);
 
  private:
   Address base_;
@@ -204,12 +202,11 @@ class Memory {
   // never run in this mode.
   void set_checks_enabled(bool enabled) { checks_enabled_ = enabled; }
 
-  // Snapshot save/restore (DESIGN.md §10). Guest-visible state only: SRAM
+  // Snapshot serialisation (DESIGN.md §10). Guest-visible state only: SRAM
   // bytes, tag bitmap + shadow capabilities, revocation bits, access
   // counters. Host-side plumbing (MMIO table, access hook, clock pointer)
-  // belongs to the constructed Machine and is rebound, never serialised.
+  // belongs to the constructed Machine and is never serialised.
   void SerializeState(snap::Writer& w) const;
-  void RestoreState(snap::Reader& r);
 
  private:
   struct MmioRegion {

@@ -58,9 +58,8 @@ struct Socket {
 // about the worker's event-driven sleep is GUEST state — the thread's futex
 // address and wake_at deadline in the scheduler's wait queues (KERN/SCHD
 // sections) — while this struct, including the rto_at deadlines the worker
-// derives its next wake from, is rebuilt on restore. Cold restore runs zero
-// guest instructions, so a fresh default TcpIpState IS the post-boot state;
-// replay restore re-executes the logged inputs, re-deriving every socket and
+// derives its next wake from, is rebuilt on restore: restore boots a fresh
+// board and re-executes the logged inputs, re-deriving every socket and
 // retransmit deadline deterministically. The restore verify re-serializes
 // the scheduler sections and byte-compares them, so a rebuilt native
 // deadline that disagreed with the serialized guest wake_at would fail the

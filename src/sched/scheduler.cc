@@ -342,40 +342,4 @@ void Scheduler::SerializeState(snap::Writer& w) const {
   w.U64(block_seq_counter_);
 }
 
-void Scheduler::RestoreState(snap::Reader& r) {
-  for (auto& queue : ready_) {
-    queue.clear();
-    const uint32_t n = r.U32();
-    for (uint32_t i = 0; i < n; ++i) {
-      queue.push_back(r.I32());
-    }
-  }
-  futex_waiters_.clear();
-  const uint32_t sets = r.U32();
-  for (uint32_t i = 0; i < sets; ++i) {
-    const Address addr = r.U32();
-    std::deque<int>& waiters = futex_waiters_[addr];
-    const uint32_t n = r.U32();
-    for (uint32_t j = 0; j < n; ++j) {
-      waiters.push_back(r.I32());
-    }
-  }
-  multiwaiters_.clear();
-  multiwaiters_.resize(r.Count(13));  // live, max_events, count, thread
-  for (Multiwaiter& mw : multiwaiters_) {
-    mw.live = r.Bool();
-    mw.max_events = r.I32();
-    mw.addrs.resize(r.Count(4));
-    for (Address& a : mw.addrs) {
-      a = r.U32();
-    }
-    mw.waiting_thread = r.I32();
-  }
-  for (Address& a : irq_futex_addr_) {
-    a = r.U32();
-  }
-  idle_cycles_ = r.U64();
-  block_seq_counter_ = r.U64();
-}
-
 }  // namespace cheriot

@@ -29,7 +29,6 @@ class TraceRecorder;
 
 namespace snap {
 class Writer;
-class Reader;
 }  // namespace snap
 
 class Scheduler {
@@ -100,11 +99,10 @@ class Scheduler {
   // choices in FutexWake. A host handle like trace_: never snapshotted.
   void set_arbiter(ScheduleArbiter* arbiter) { arbiter_ = arbiter; }
 
-  // Snapshot save/restore (DESIGN.md §10): queues, wait sets, multiwaiter
+  // Snapshot serialisation (DESIGN.md §10): queues, wait sets, multiwaiter
   // table (including dead slots — indices are guest-visible ids) and idle
   // accounting. threads_/trace_ are host handles owned by the System.
   void SerializeState(snap::Writer& w) const;
-  void RestoreState(snap::Reader& r);
 
  private:
   GuestThread& T(int id) { return (*threads_)[id]; }

@@ -140,6 +140,10 @@ System::RunResult Board::StepTo(Cycles target) {
     op.a = target;
     op_log_.push_back(std::move(op));
   }
+  return RunTo(target);
+}
+
+System::RunResult Board::RunTo(Cycles target) {
   injected_since_deadlock_ = false;
   if (target > Now()) {
     last_result_ = system_.Run(target - Now());
@@ -278,34 +282,6 @@ void Board::SerializeBoardSection(snap::Writer& w) const {
   }
 }
 
-void Board::RestoreBoardSection(snap::Reader& r) {
-  const bool was_booted = r.Bool();
-  if (was_booted != booted_) {
-    throw snap::SnapshotError("snapshot boot-state mismatch");
-  }
-  last_result_ = static_cast<System::RunResult>(r.U8());
-  injected_since_deadlock_ = r.Bool();
-  tx_seq_ = r.U32();
-  tx_staged_.clear();
-  const uint32_t n_tx = r.U32();
-  for (uint32_t i = 0; i < n_tx; ++i) {
-    TxFrame tx;
-    tx.at = r.U64();
-    tx.frame = r.Blob();
-    tx.flow = DeserializeFlowId(r);
-    tx_staged_.push_back(std::move(tx));
-  }
-  rx_pending_.clear();
-  rx_head_ = 0;
-  const uint32_t n_rx = r.U32();
-  for (uint32_t i = 0; i < n_rx; ++i) {
-    const Cycles due = r.U64();
-    Frame frame = r.Blob();
-    const flow::FlowId flow = DeserializeFlowId(r);
-    EnqueueRx(due, std::move(frame), flow);
-  }
-}
-
 void Board::BuildStateSections(snap::Container& c) {
   CHERIOT_CHECK(booted_, "Board state sections require a booted board");
   AddSection(c, snap::kSecClock,
@@ -337,43 +313,6 @@ void Board::BuildStateSections(snap::Container& c) {
              [this](snap::Writer& w) { SerializeBoardSection(w); });
 }
 
-void Board::RestoreStateSections(const snap::Container& c) {
-  auto with = [&c, this](uint32_t id, const std::function<void(snap::Reader&)>& fn) {
-    const snap::Section& s = c.Require(id);
-    snap::Reader r(s.body);
-    fn(r);
-    r.ExpectEnd(snap::SectionName(id).c_str());
-  };
-  with(snap::kSecClock,
-       [this](snap::Reader& r) { machine_.clock().RestoreNow(r.U64()); });
-  with(snap::kSecMemory,
-       [this](snap::Reader& r) { machine_.memory().RestoreState(r); });
-  with(snap::kSecIrq, [this](snap::Reader& r) {
-    machine_.irqs().RestorePendingMask(r.U32());
-  });
-  with(snap::kSecDevices, [this](snap::Reader& r) {
-    machine_.uart().RestoreState(r);
-    machine_.leds().RestoreState(r);
-    machine_.timer().RestoreState(r);
-    machine_.ethernet().RestoreState(r);
-    machine_.entropy().RestoreState(r);
-  });
-  with(snap::kSecRevoker,
-       [this](snap::Reader& r) { machine_.revoker().RestoreState(r); });
-  with(snap::kSecKernel, [this](snap::Reader& r) { system_.RestoreState(r); });
-  with(snap::kSecSched,
-       [this](snap::Reader& r) { system_.sched().RestoreState(r); });
-  with(snap::kSecSwitcher, [this](snap::Reader& r) {
-    system_.switcher().RestoreTrapCount(r.U64());
-  });
-  with(snap::kSecAlloc,
-       [this](snap::Reader& r) { system_.alloc().RestoreState(r); });
-  with(snap::kSecBoard, [this](snap::Reader& r) { RestoreBoardSection(r); });
-  // Re-seat every host-side raw pointer the machine hands to its own
-  // components (PR 1 raw clock hook, device trace pointers).
-  machine_.RebindHostHandles();
-}
-
 std::vector<uint8_t> Board::SerializeCrashScene() {
   snap::Container c;
   c.kind = snap::kScene;
@@ -387,16 +326,11 @@ void Board::BuildSnapshotContainer(snap::Container& c) {
   for (const auto& t : system_.threads()) {
     any_started |= t.started;
   }
-  const bool cold = !any_started && op_log_.empty() && trace_ == nullptr &&
-                    forensics_ == nullptr && cov_ == nullptr;
-  CHERIOT_CHECK(op_log_enabled_ || cold,
+  CHERIOT_CHECK(op_log_enabled_ || !any_started,
                 "Board::Snapshot() mid-run with the replay log disabled "
                 "produces an unrestorable snapshot");
   c.kind = snap::kBoard;
   c.flags = snap::kHasReplayLog;
-  if (cold) {
-    c.flags |= snap::kColdRestorable;
-  }
   if (trace_ != nullptr) {
     c.flags |= snap::kHasTrace;
   }
@@ -458,9 +392,19 @@ void Board::Snapshot(std::vector<uint8_t>& out) {
   out = c.Assemble();
 }
 
+void CheckSramSection(const snap::Container& state,
+                      const MachineConfig& machine) {
+  snap::Reader r(state.Require(snap::kSecMemory).body);
+  if (r.U32() != machine.sram_base || r.U32() != machine.sram_size ||
+      r.remaining() < machine.sram_size) {
+    throw snap::SnapshotError("snapshot SRAM geometry does not match its "
+                              "SRAM section");
+  }
+}
+
 std::unique_ptr<Board> Board::Restore(const uint8_t* data, size_t size,
                                       FirmwareImage image) {
-  snap::Container c = snap::Container::Parse(data, size);
+  const snap::Container c = snap::Container::Parse(data, size);
   if (c.kind != snap::kBoard) {
     throw snap::SnapshotError("not a board snapshot");
   }
@@ -492,6 +436,8 @@ std::unique_ptr<Board> Board::Restore(const uint8_t* data, size_t size,
     cov_options.mmio_granules = opts.Bool();
   }
   opts.ExpectEnd("OPTS");
+  CheckSramSection(c, options.machine);
+  const Cycles saved_now = snap::Reader(c.Require(snap::kSecClock).body).U64();
 
   auto board = std::make_unique<Board>(std::move(image), options);
   if (has_trace) {
@@ -504,64 +450,56 @@ std::unique_ptr<Board> Board::Restore(const uint8_t* data, size_t size,
     board->EnableCoverage(cov_options);
   }
 
-  if (c.flags & snap::kColdRestorable) {
-    // Direct restore: skip the loader, deserialize the boot-time capability
-    // graph and rebind host handles, then lay the saved state sections on
-    // top (the warm-boot fixture path).
-    const snap::Section& boot_sec = c.Require(snap::kSecBootInfo);
-    snap::Reader boot(boot_sec.body);
-    board->system_.BootFromSnapshot(boot);
-    boot.ExpectEnd("BOOT");
-    board->booted_ = true;
-    board->RestoreStateSections(c);
-  } else {
-    // Replay restore: boot normally, then re-execute the logged external
-    // inputs. Execution is fully deterministic, so the replayed board lands
-    // in the exact snapshotted state — which the verify below proves.
-    board->Boot();
-    const snap::Section& log_sec = c.Require(snap::kSecReplayLog);
-    snap::Reader log(log_sec.body);
-    const uint64_t n_ops = log.U64();
-    for (uint64_t i = 0; i < n_ops; ++i) {
-      const auto kind = static_cast<BoardOp::Kind>(log.U8());
-      const Cycles a = log.U64();
-      const Cycles b = log.U64();
-      Frame frame = log.Blob();
-      const flow::FlowId flow = DeserializeFlowId(log);
-      switch (kind) {
-        case BoardOp::Kind::kStep:
-          board->StepTo(a);
-          break;
-        case BoardOp::Kind::kInject:
-          if (board->Now() != a) {
+  // Boot, then re-execute the logged external inputs. Execution is fully
+  // deterministic, so the replayed board lands in the exact snapshotted
+  // state — which the verify below proves.
+  board->Boot();
+  snap::Reader log(c.Require(snap::kSecReplayLog).body);
+  const uint64_t n_ops = log.U64();
+  for (uint64_t i = 0; i < n_ops; ++i) {
+    const auto kind = static_cast<BoardOp::Kind>(log.U8());
+    const Cycles a = log.U64();
+    const Cycles b = log.U64();
+    Frame frame = log.Blob();
+    const flow::FlowId flow = DeserializeFlowId(log);
+    switch (kind) {
+      case BoardOp::Kind::kStep:
+        // StepTo runs until the clock reaches its target or the guest stops
+        // (every thread exits, or deadlock), so a target past the snapshot's
+        // clock is valid only if the board stops before that clock. Run it
+        // just that far first (run-budget pauses are cycle-transparent) and
+        // refuse to run on unless it stopped; the StepTo below then returns
+        // at once. (A run ended by System::RequestStop() resumes on the next
+        // Run(), so it cannot be split like this and is refused too.)
+        if (a > saved_now) {
+          board->RunTo(saved_now + 1);
+          if (board->runnable()) {
             throw snap::SnapshotError(
-                "replay diverged: injection clock mismatch");
+                "replay log steps past the snapshot's clock");
           }
-          board->InjectAt(b, std::move(frame), flow);
-          break;
-        default:
-          throw snap::SnapshotError("unknown replay op");
-      }
+        }
+        board->StepTo(a);
+        break;
+      case BoardOp::Kind::kInject:
+        if (board->Now() != a) {
+          throw snap::SnapshotError(
+              "replay diverged: injection clock mismatch");
+        }
+        board->InjectAt(b, std::move(frame), flow);
+        break;
+      default:
+        throw snap::SnapshotError("unknown replay op");
     }
-    log.ExpectEnd("RLOG");
   }
+  log.ExpectEnd("RLOG");
 
   // Verify: every section of the restored board must re-serialize to the
-  // exact bytes of the snapshot. This is what makes both restore paths
-  // trustworthy — any drift between serialized state and reconstructed
-  // state is caught here, not at cycle 10^9 of the resumed run.
+  // exact bytes of the snapshot. Any drift between serialized state and
+  // reconstructed state is caught here, not at cycle 10^9 of the resumed
+  // run.
   snap::Container check;
   board->BuildSnapshotContainer(check);
-  if (check.sections.size() != c.sections.size()) {
-    throw snap::SnapshotError("snapshot verify failed: section count");
-  }
-  for (size_t i = 0; i < c.sections.size(); ++i) {
-    if (check.sections[i].id != c.sections[i].id ||
-        check.sections[i].body != c.sections[i].body) {
-      throw snap::SnapshotError("snapshot verify failed at section " +
-                                snap::SectionName(c.sections[i].id));
-    }
-  }
+  snap::VerifySections(c, check);
   return board;
 }
 

@@ -35,6 +35,13 @@ struct BoardOptions {
 
 EthernetDevice::Mac MacForIndex(int index);
 
+// Throws snap::SnapshotError unless `state` holds an SRAM section with
+// `machine`'s geometry and all of its bytes. Restore checks this before it
+// builds a board from a decoded geometry, so SRAM is never sized from a
+// value the blob does not back.
+void CheckSramSection(const snap::Container& state,
+                      const MachineConfig& machine);
+
 class Board {
  public:
   using Frame = std::vector<uint8_t>;
@@ -158,17 +165,13 @@ class Board {
   // Restore() rebuilds a board from a snapshot. The firmware image is a
   // host-side artifact (native closures) and cannot cross a snapshot, so the
   // caller supplies the same image the snapshot's board was built from.
-  // Two paths, chosen automatically:
-  //  - Cold/direct (flag kColdRestorable: post-Boot, no guest instruction
-  //    executed): the loader is skipped — the boot-time capability graph is
-  //    deserialized and host handles rebound (warm-boot fixture path).
-  //  - Replay (general, mid-run): guest fibers hold live host stacks that
-  //    cannot be byte-restored, so the board re-boots and re-executes the
-  //    logged external inputs (StepTo targets, injected frames); PR 6's
-  //    cycle-transparent pauses make this reproduce the run exactly.
-  // Both paths end with a verify: every state section of the restored board
-  // is re-serialized and byte-compared against the snapshot; a mismatch
-  // throws snap::SnapshotError.
+  // Restore is replay: guest fibers hold live host stacks that cannot be
+  // byte-restored, so the board boots and re-executes the logged external
+  // inputs (StepTo targets, injected frames); cycle-transparent pauses make
+  // this reproduce the run exactly. Only OPTS and RLOG are decoded; CLCK and
+  // the SRAM header are read as bounds. The restore ends with a verify:
+  // every section of the restored board is re-serialized and byte-compared
+  // against the snapshot; a mismatch throws snap::SnapshotError.
   void Snapshot(std::vector<uint8_t>& out);
   static std::unique_ptr<Board> Restore(const uint8_t* data, size_t size,
                                         FirmwareImage image);
@@ -185,10 +188,6 @@ class Board {
   void set_op_log_enabled(bool on) { op_log_enabled_ = on; }
   size_t op_log_size() const { return op_log_.size(); }
 
-  // Restores board state sections from an already-parsed container onto a
-  // booted board (Fleet embedded-board restore; the Fleet replays control
-  // ops itself and then verifies). Not for standalone use.
-  void RestoreStateSections(const snap::Container& c);
   // Serializes the machine/kernel state sections (no OPTS/BOOT/RLOG) into
   // `c` — the building block shared by Snapshot(), the Fleet's embedded
   // per-board blobs and the forensics crash-scene capture.
@@ -226,11 +225,12 @@ class Board {
     flow::FlowId flow;
   };
 
+  // StepTo without the replay-log entry.
+  System::RunResult RunTo(Cycles target);
   // Inserts into rx_pending_ behind every frame due at or before `due`.
   void EnqueueRx(Cycles due, SharedFrame frame, flow::FlowId flow);
   void PumpRx();
   void SerializeBoardSection(snap::Writer& w) const;
-  void RestoreBoardSection(snap::Reader& r);
   // Full container for Snapshot(): OPTS + BOOT + state sections + recorder
   // sections + RLOG.
   void BuildSnapshotContainer(snap::Container& c);

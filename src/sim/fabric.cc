@@ -147,30 +147,4 @@ void Fabric::SerializeState(snap::Writer& w) const {
   }
 }
 
-void Fabric::RestoreState(snap::Reader& r) {
-  const uint32_t port_count = r.U32();
-  if (port_count != ports_.size()) {
-    throw snap::SnapshotError("snapshot fabric port count mismatch");
-  }
-  mac_table_.clear();
-  const uint32_t macs = r.U32();
-  for (uint32_t i = 0; i < macs; ++i) {
-    Mac mac;
-    for (uint8_t& b : mac) {
-      b = r.U8();
-    }
-    mac_table_[mac] = r.I32();
-  }
-  frames_switched_ = r.U64();
-  frames_flooded_ = r.U64();
-  group_generation_ = r.U64();
-  for (uint32_t port = 0; port < port_count; ++port) {
-    const int rep = r.I32();
-    if (rep < 0 || static_cast<uint32_t>(rep) > port) {
-      throw snap::SnapshotError("snapshot fabric partition malformed");
-    }
-    group_parent_[port] = rep;
-  }
-}
-
 }  // namespace cheriot::sim

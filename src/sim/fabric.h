@@ -23,7 +23,6 @@ class TraceRecorder;
 
 namespace cheriot::snap {
 class Writer;
-class Reader;
 }  // namespace cheriot::snap
 
 namespace cheriot::sim {
@@ -97,7 +96,6 @@ class Fabric {
   // in canonical form — Find(port) per port, which under the lower-id-wins
   // union rule is always the group's minimum member.
   void SerializeState(snap::Writer& w) const;
-  void RestoreState(snap::Reader& r);
 
  private:
   struct Port {

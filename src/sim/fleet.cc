@@ -640,12 +640,13 @@ std::unique_ptr<Fleet> Fleet::Restore(const uint8_t* data, size_t size,
                                       const ImageResolver& images,
                                       int host_threads, bool flow,
                                       flow::FlowOptions flow_options) {
-  snap::Container c = snap::Container::Parse(data, size);
+  const snap::Container c = snap::Container::Parse(data, size);
   if (c.kind != snap::kFleet) {
     throw snap::SnapshotError("not a fleet snapshot");
   }
   FleetOptions o;
   uint32_t board_count = 0;
+  Cycles saved_now = 0;
   {
     snap::Reader r(c.Require(snap::kSecFleet).body);
     o.epoch = r.U64();
@@ -682,9 +683,28 @@ std::unique_ptr<Fleet> Fleet::Restore(const uint8_t* data, size_t size,
       o.cov_options.mmio_granules = r.Bool();
     }
     board_count = r.U32();
-    r.U64();  // now_: reproduced by the replay, compared by the verify
-    r.U64();  // frames_exchanged_: ditto
+    // now_ bounds the replay; it and frames_exchanged_ are reproduced by
+    // the replay and compared by the verify.
+    saved_now = r.U64();
+    r.U64();
     r.ExpectEnd("FLET");
+  }
+  // Nothing is built from a decoded option before it is checked: the
+  // constructor's bounds are enforced here as typed errors, and every
+  // board's SRAM is sized from FLET's geometry, which each board's BRDS
+  // entry must back.
+  if (o.board_link_latency == 0 || o.epoch > o.board_link_latency) {
+    throw snap::SnapshotError(
+        "snapshot fleet epoch and link latency out of bounds");
+  }
+  {
+    snap::Reader r(c.Require(snap::kSecFleetBoards).body);
+    if (r.U32() != board_count) {
+      throw snap::SnapshotError("snapshot fleet board count mismatch");
+    }
+    for (uint32_t i = 0; i < board_count; ++i) {
+      CheckSramSection(snap::Container::Parse(r.Blob()), o.machine);
+    }
   }
   o.host_threads = host_threads;
   o.flow = flow;
@@ -704,6 +724,10 @@ std::unique_ptr<Fleet> Fleet::Restore(const uint8_t* data, size_t size,
           if (to < fleet->now_) {
             throw snap::SnapshotError(
                 "fleet replay diverged: advance behind the fleet clock");
+          }
+          if (to > saved_now) {
+            throw snap::SnapshotError(
+                "fleet replay log advances past the snapshot's clock");
           }
           if (to > fleet->now_) {
             fleet->Run(to - fleet->now_);
@@ -733,16 +757,7 @@ std::unique_ptr<Fleet> Fleet::Restore(const uint8_t* data, size_t size,
   // byte — boards, fabric, recorders and the rebuilt control log alike.
   snap::Container check;
   fleet->BuildSnapshotContainer(check);
-  if (check.sections.size() != c.sections.size()) {
-    throw snap::SnapshotError("fleet snapshot verify failed: section count");
-  }
-  for (size_t i = 0; i < c.sections.size(); ++i) {
-    if (check.sections[i].id != c.sections[i].id ||
-        check.sections[i].body != c.sections[i].body) {
-      throw snap::SnapshotError("fleet snapshot verify failed at section " +
-                                snap::SectionName(c.sections[i].id));
-    }
-  }
+  snap::VerifySections(c, check);
   return fleet;
 }
 

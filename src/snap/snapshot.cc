@@ -66,4 +66,17 @@ Container Container::Parse(const uint8_t* data, size_t size) {
   return c;
 }
 
+void VerifySections(const Container& saved, const Container& rebuilt) {
+  if (rebuilt.sections.size() != saved.sections.size()) {
+    throw SnapshotError("snapshot verify failed: section count");
+  }
+  for (size_t i = 0; i < saved.sections.size(); ++i) {
+    if (rebuilt.sections[i].id != saved.sections[i].id ||
+        rebuilt.sections[i].body != saved.sections[i].body) {
+      throw SnapshotError("snapshot verify failed at section " +
+                          SectionName(saved.sections[i].id));
+    }
+  }
+}
+
 }  // namespace cheriot::snap

@@ -37,10 +37,11 @@ enum Kind : uint8_t {
 };
 
 enum Flags : uint32_t {
-  // The board can be rebuilt directly from its state sections: it was
-  // snapshotted straight after Boot() (no guest instruction has run, no
-  // recorder attached), so no fiber holds live host state.
-  kColdRestorable = 1u << 0,
+  // Bit 0 is reserved. It was kColdRestorable, which marked a post-boot blob
+  // for a second, direct restore path. It is no longer set and is ignored on
+  // read: a blob that carries it restores like any other, by replaying its
+  // (empty) log.
+  //
   // The blob carries a replay log of every external input since Boot();
   // Restore() re-executes it to rebuild live fiber state deterministically.
   kHasReplayLog = 1u << 1,
@@ -101,6 +102,10 @@ struct Container {
     return Parse(blob.data(), blob.size());
   }
 };
+
+// The restore verify (DESIGN.md §10): throws SnapshotError unless `rebuilt`
+// holds the sections of `saved`, in the same order, with the same bodies.
+void VerifySections(const Container& saved, const Container& rebuilt);
 
 }  // namespace cheriot::snap
 

@@ -100,7 +100,6 @@ class Reader {
     return v;
   }
   int32_t I32() { return static_cast<int32_t>(U32()); }
-  int64_t I64() { return static_cast<int64_t>(U64()); }
   bool Bool() { return U8() != 0; }
   void BytesInto(void* out, size_t size) {
     Need(size);
@@ -108,17 +107,6 @@ class Reader {
       std::memcpy(out, p_, size);
     }
     p_ += size;
-  }
-  // Reads a U32 element count for a container about to be sized from it.
-  // Checks first that `count` elements of at least `min_element_bytes` (> 0)
-  // wire bytes each fit in what is left, so a corrupt count raises
-  // SnapshotError before anything is allocated from it.
-  uint32_t Count(size_t min_element_bytes) {
-    const uint32_t n = U32();
-    if (n > remaining() / min_element_bytes) {
-      throw SnapshotError("snapshot element count exceeds its section");
-    }
-    return n;
   }
   std::vector<uint8_t> Blob() {
     const uint64_t n = U64();
@@ -134,16 +122,6 @@ class Reader {
     p_ += n;
     return s;
   }
-  Capability Cap() {
-    const Address cursor = U32();
-    const Address base = U32();
-    const Address top = U32();
-    const uint16_t perms = U16();
-    const uint8_t otype = U8();
-    const bool tag = Bool();
-    return Capability::FromRaw(cursor, base, top, perms, otype, tag);
-  }
-
   size_t remaining() const { return static_cast<size_t>(end_ - p_); }
   bool AtEnd() const { return p_ == end_; }
   void ExpectEnd(const char* what) const {

@@ -73,9 +73,6 @@ class Switcher {
 
   // Guest traps delivered since boot (fingerprinted by determinism tests).
   uint64_t trap_count() const { return trap_count_; }
-  // Snapshot restore only (DESIGN.md §10); all other switcher state lives in
-  // the threads' trusted stacks, which the kernel section owns.
-  void RestoreTrapCount(uint64_t n) { trap_count_ = n; }
 
  private:
   Capability DoCall(GuestThread& thread, int callee_id, int export_index,

@@ -38,9 +38,7 @@ const char* EventTypeName(EventType type) {
   return "unknown";
 }
 
-TraceRecorder::TraceRecorder(TraceOptions options) : options_(options) {
-  ring_.resize(options_.ring_capacity);
-}
+TraceRecorder::TraceRecorder(TraceOptions options) : options_(options) {}
 
 void TraceRecorder::SetCompartmentNames(std::vector<std::string> names) {
   compartment_names_ = std::move(names);
@@ -60,14 +58,20 @@ void TraceRecorder::EmitAt(Cycles at, EventType type, int16_t thread,
   ++emitted_;
   ++by_type_[static_cast<size_t>(type)];
   latest_at_ = std::max(latest_at_, at);
-  if (ring_.empty()) {
-    ++dropped_;
-    return;
-  }
   if (count_ == ring_.size()) {
-    start_ = (start_ + 1) % ring_.size();
-    --count_;
-    ++dropped_;
+    // The ring grows on demand up to its capacity, so memory follows the
+    // events recorded, not the configured bound; once full, the oldest
+    // event makes room.
+    if (ring_.size() < options_.ring_capacity) {
+      ring_.emplace_back();
+    } else if (ring_.empty()) {
+      ++dropped_;
+      return;
+    } else {
+      start_ = (start_ + 1) % ring_.size();
+      --count_;
+      ++dropped_;
+    }
   }
   Event& e = ring_[(start_ + count_) % ring_.size()];
   e.at = at;

@@ -92,8 +92,9 @@ struct Event {
 };
 
 struct TraceOptions {
-  // Ring capacity in events; the oldest events are dropped (and counted)
-  // once the ring is full, deterministically.
+  // Ring capacity in events; the ring grows on demand up to it, and the
+  // oldest events are dropped (and counted) once it is full,
+  // deterministically.
   size_t ring_capacity = 1 << 16;
   // Cycle-attribution profiler (per-compartment self/total + collapsed
   // stacks). Requires a clock, i.e. Attach().

@@ -5,8 +5,9 @@
 // survival across snapshot/restore, the explorer finding each seeded
 // concurrency bug with a minimal (single forced choice) reproduction, the
 // shipped fleet image coming back clean with meaningful partial-order
-// pruning, snapshot diffs naming the first divergent section and offset,
-// and mid-run snapshot replay determinism under TCP loss injection.
+// pruning, report bytes pinned by digest, snapshot diffs naming the first
+// divergent section and offset, and mid-run snapshot replay determinism
+// under TCP loss injection.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -207,6 +208,42 @@ TEST(McTest, ReportJsonIsByteStableAcrossRuns) {
   const std::string b =
       mc::Explore(t->name, t->build, FastOptions()).ToJson().Dump(2);
   EXPECT_EQ(a, b);
+}
+
+// The report bytes are pinned by FNV-1a digest of `ToJson().Dump(2)` (what
+// cheriot_mc writes, less the trailing newline) for the seeded images and the
+// shipped fleet image, at default options and with fault injection, so any
+// change to how schedules are run shows up as a changed report.
+TEST(McTest, ReportBytesMatchTheGoldenDigests) {
+  auto fnv1a = [](const std::string& s) {
+    uint64_t h = 1469598103934665603ull;
+    for (char c : s) {
+      h = (h ^ static_cast<uint8_t>(c)) * 1099511628211ull;
+    }
+    return h;
+  };
+  struct Golden {
+    const char* image;
+    uint64_t default_digest;
+    uint64_t faults_digest;
+  };
+  for (const Golden& g : std::vector<Golden>{
+           {"seeded-lost-wake", 0x7611a6116b37f524ull, 0xfa0691e0211a5d3full},
+           {"seeded-quota-race", 0xbb14264bcc327e0eull, 0x48b973ebc6829314ull},
+           {"seeded-wake-order", 0x4cd01f9484854c33ull, 0xe585f811a44fb96aull},
+           {"fleet-node", 0x8c380038af872d64ull, 0x3ef9ee9f1e17311aull},
+       }) {
+    const tools::LintTarget* t = FindMcTarget(g.image);
+    ASSERT_NE(t, nullptr) << g.image;
+    mc::McOptions faults;
+    faults.inject_faults = true;
+    EXPECT_EQ(fnv1a(mc::Explore(t->name, t->build).ToJson().Dump(2)),
+              g.default_digest)
+        << g.image;
+    EXPECT_EQ(fnv1a(mc::Explore(t->name, t->build, faults).ToJson().Dump(2)),
+              g.faults_digest)
+        << g.image << " --inject-faults";
+  }
 }
 
 // --- Snapshot diff names the first divergent section (satellite 3) --------

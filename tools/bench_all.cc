@@ -3,10 +3,10 @@
 // BENCH_*.json. The CI bench-all job runs this non-gating and uploads the
 // JSON artifacts so the paper-figure numbers carry their origin with them.
 //
-// Four benches emit machine-readable BENCH_*.json (bench_sim_throughput,
-// bench_fleet_scale, bench_trace_overhead, bench_flow_overhead); the rest
-// print their tables to
-// stdout and are only checked for a clean exit. --quick passes
+// Five benches emit machine-readable BENCH_*.json (bench_sim_throughput,
+// bench_fleet_scale, bench_trace_overhead, bench_flow_overhead,
+// bench_snapshot); the rest print their tables to stdout and are only
+// checked for a clean exit. --quick passes
 // --benchmark_min_time=0.01 to the google-benchmark targets so a smoke run
 // stays under a minute.
 //
@@ -56,6 +56,7 @@ const std::vector<BenchTarget>& BenchTargets() {
       {"bench_fleet_scale", false, true},
       {"bench_trace_overhead", false, true},
       {"bench_flow_overhead", false, true},
+      {"bench_snapshot", false, true},
   };
   return targets;
 }

@@ -1,7 +1,7 @@
 // cheriot_mc: systematic concurrency exploration over a firmware image
-// (src/mc/explorer.h). Boots the image once, snapshots the board, then
-// explores the schedule space by restore-and-replay under a recording
-// arbiter — quantum preemptions, IRQ delivery slots, futex wake order,
+// (src/mc/explorer.h). Explores the schedule space by prefix re-execution:
+// each schedule boots a fresh board and runs it under a recording arbiter —
+// quantum preemptions, IRQ delivery slots, futex wake order,
 // multiwaiter completion order and (with --inject-faults) allocation
 // failures and NIC frame loss are all branch points. Partial-order
 // reduction prunes preemptions whose footprints cannot conflict. Failing

@@ -115,11 +115,11 @@ std::string FlagNames(uint32_t flags) {
     }
     out += name;
   };
-  if (flags & snap::kColdRestorable) add("cold-restorable");
   if (flags & snap::kHasReplayLog) add("replay-log");
   if (flags & snap::kHasTrace) add("trace");
   if (flags & snap::kHasForensics) add("forensics");
   if (flags & snap::kEmbedded) add("embedded");
+  if (flags & snap::kHasCoverage) add("coverage");
   return out.empty() ? "none" : out;
 }
 
@@ -201,10 +201,8 @@ int CmdRestore(const CliOptions& opts) {
     }
   } else {
     auto board = sim::Board::Restore(blob, t->build());
-    std::printf("restored board at cycle %llu (verified, %s)\n",
-                static_cast<unsigned long long>(board->Now()),
-                (c.flags & snap::kColdRestorable) ? "cold path"
-                                                  : "replay path");
+    std::printf("restored board at cycle %llu (verified)\n",
+                static_cast<unsigned long long>(board->Now()));
     if (opts.cycles > 0) {
       board->StepTo(board->Now() + opts.cycles);
     }
