@@ -22,7 +22,7 @@
 #include "src/rtos.h"
 #include "src/sim/board.h"
 #include "src/sim/fleet.h"
-#include "src/sync/sync.h"
+#include "tests/seeded_images.h"
 #include "tools/lint_targets.h"
 
 namespace cheriot {
@@ -63,137 +63,12 @@ std::vector<Detector> Fired(const BoardHealth& h) {
   return out;
 }
 
-// --- Seeded-fault images --------------------------------------------------
-// Each builds an adversarial firmware image engineered (thresholds in
-// health::HealthOptions) to trip exactly one detector.
-
-// Use-after-free: allocate, free, then load through the dangling capability
-// with no error handler installed. One kTagViolation, freed provenance.
-FirmwareImage SeededUaf() {
-  ImageBuilder b("seeded-uaf");
-  b.Compartment("app")
-      .Globals(32)
-      .AllocCap("q", 8192)
-      .Export("main", [](CompartmentCtx& ctx, const std::vector<Capability>&) {
-        const Capability q = ctx.SealedImport("q");
-        const Capability p = ctx.HeapAllocate(q, 64);
-        ctx.StoreWord(p, 0, 42);
-        ctx.HeapFree(q, p);
-        ctx.LoadWord(p, 0);  // traps: revoked capability, no handler
-        return StatusCap(Status::kOk);
-      });
-  sync::UseAllocator(b, "app");
-  b.Thread("t", 1, 8192, 8, "app.main");
-  return b.Build();
-}
-
-// Trap storm: a tight loop of cross-compartment calls into a service that
-// faults every time (and never reboots, never touches the heap).
-FirmwareImage SeededTrapStorm() {
-  ImageBuilder b("seeded-trap-storm");
-  b.Compartment("svc").Export(
-      "boom", [](CompartmentCtx& ctx, const std::vector<Capability>&) {
-        ctx.LoadWord(Capability::FromWord(0xBAD), 0);
-        return StatusCap(Status::kOk);
-      });
-  b.Compartment("app")
-      .ImportCompartment("svc.boom")
-      .Export("main", [](CompartmentCtx& ctx, const std::vector<Capability>&) {
-        for (int i = 0; i < 24; ++i) {
-          ctx.Call("svc.boom", {});
-        }
-        return StatusCap(Status::kOk);
-      });
-  b.Thread("t", 1, 8192, 8, "app.main");
-  return b.Build();
-}
-
-// Reboot loop: the faulting service's handler micro-reboots it each time.
-// Three traps stay under the storm detector's minimum count; three reboots
-// land inside the loop window.
-FirmwareImage SeededRebootLoop() {
-  ImageBuilder b("seeded-reboot-loop");
-  b.Compartment("svc")
-      .ErrorHandler([](CompartmentCtx& ctx, TrapInfo&) {
-        ctx.MicroRebootSelf();
-        return ErrorRecovery::kForceUnwind;
-      })
-      .Export("boom",
-              [](CompartmentCtx& ctx, const std::vector<Capability>&) {
-                ctx.LoadWord(Capability::FromWord(0xBAD), 0);
-                return StatusCap(Status::kOk);
-              });
-  b.Compartment("app")
-      .ImportCompartment("svc.boom")
-      .Export("main", [](CompartmentCtx& ctx, const std::vector<Capability>&) {
-        for (int i = 0; i < 3; ++i) {
-          ctx.Call("svc.boom", {});
-        }
-        return StatusCap(Status::kOk);
-      });
-  b.Thread("t", 1, 8192, 8, "app.main");
-  return b.Build();
-}
-
-// Quota exhaustion: a 256-byte quota bounced off four times. No traps.
-FirmwareImage SeededQuota() {
-  ImageBuilder b("seeded-quota");
-  b.Compartment("app")
-      .Globals(32)
-      .AllocCap("q", 256)
-      .Export("main", [](CompartmentCtx& ctx, const std::vector<Capability>&) {
-        const Capability q = ctx.SealedImport("q");
-        for (int i = 0; i < 4; ++i) {
-          ctx.HeapAllocate(q, 4096);  // always denied: quota is 256 bytes
-        }
-        return StatusCap(Status::kOk);
-      });
-  sync::UseAllocator(b, "app");
-  b.Thread("t", 1, 8192, 8, "app.main");
-  return b.Build();
-}
-
-// Stuck board: the only thread blocks forever on a futex nobody signals.
-FirmwareImage SeededDeadlock() {
-  ImageBuilder b("seeded-deadlock");
-  b.Compartment("app")
-      .Globals(32)
-      .Export("main", [](CompartmentCtx& ctx, const std::vector<Capability>&) {
-        ctx.FutexWait(ctx.globals(), 0, ~0u);  // never woken
-        return StatusCap(Status::kOk);
-      });
-  sync::UseScheduler(b, "app");
-  b.Thread("t", 1, 8192, 8, "app.main");
-  return b.Build();
-}
-
-// Revoker backlog: free five 16 KiB objects back-to-back so > 32 KiB sits in
-// quarantine, then exit without another allocator call to drain it.
-FirmwareImage SeededRevokerBacklog() {
-  ImageBuilder b("seeded-revoker-backlog");
-  b.Compartment("app")
-      .Globals(32)
-      .AllocCap("q", 256 * 1024)
-      .Export("main", [](CompartmentCtx& ctx, const std::vector<Capability>&) {
-        const Capability q = ctx.SealedImport("q");
-        Capability blocks[5];
-        for (auto& block : blocks) {
-          block = ctx.HeapAllocate(q, 16 * 1024);
-        }
-        for (auto& block : blocks) {
-          ctx.HeapFree(q, block);
-        }
-        return StatusCap(Status::kOk);
-      });
-  sync::UseAllocator(b, "app");
-  b.Thread("t", 1, 8192, 8, "app.main");
-  return b.Build();
-}
+// The seeded-fault images live in tests/seeded_images.cc.
 
 // --- 1. Forensics capture -------------------------------------------------
 
 TEST(HealthTest, UafCrashRecordCarriesFreedProvenanceAndDecodedRegs) {
-  HealthRun run = RunWithForensics(SeededUaf());
+  HealthRun run = RunWithForensics(seeded::Uaf());
   ASSERT_EQ(run.recorder->recorded(), 1u);
   const std::vector<CrashRecord> records = run.recorder->Records();
   const CrashRecord& r = records[0];
@@ -223,7 +98,7 @@ TEST(HealthTest, UafCrashRecordCarriesFreedProvenanceAndDecodedRegs) {
 }
 
 TEST(HealthTest, RebootLoopRecordsHandlerUnwindDispositions) {
-  HealthRun run = RunWithForensics(SeededRebootLoop());
+  HealthRun run = RunWithForensics(seeded::RebootLoop());
   const int svc_id = run.board->system().boot().FindCompartment("svc")->id;
   ASSERT_EQ(run.recorder->recorded(), 3u);
   for (const CrashRecord& r : run.recorder->Records()) {
@@ -237,7 +112,7 @@ TEST(HealthTest, RebootLoopRecordsHandlerUnwindDispositions) {
 }
 
 TEST(HealthTest, AllocatorTracksSiteLifecycleNatively) {
-  HealthRun run = RunWithForensics(SeededRevokerBacklog());
+  HealthRun run = RunWithForensics(seeded::RevokerBacklog());
   Allocator& alloc = run.board->system().alloc();
   EXPECT_EQ(alloc.allocation_count(), 5u);
   // All five frees landed in quarantine and nothing drained them.
@@ -251,14 +126,14 @@ TEST(HealthTest, AllocatorTracksSiteLifecycleNatively) {
 // --- 2. Detector precision ------------------------------------------------
 
 TEST(HealthTest, SeededUafTripsExactlyUseAfterFree) {
-  HealthRun run = RunWithForensics(SeededUaf());
+  HealthRun run = RunWithForensics(seeded::Uaf());
   const BoardHealth h = AssessBoard(*run.board);
   EXPECT_FALSE(h.healthy);
   EXPECT_EQ(Fired(h), std::vector<Detector>{Detector::kUseAfterFree});
 }
 
 TEST(HealthTest, SeededTrapStormTripsExactlyTrapStorm) {
-  HealthRun run = RunWithForensics(SeededTrapStorm());
+  HealthRun run = RunWithForensics(seeded::TrapStorm());
   const BoardHealth h = AssessBoard(*run.board);
   EXPECT_EQ(h.traps, 24u);
   EXPECT_EQ(h.crash_records, 24u);
@@ -266,7 +141,7 @@ TEST(HealthTest, SeededTrapStormTripsExactlyTrapStorm) {
 }
 
 TEST(HealthTest, SeededRebootLoopTripsExactlyRebootLoop) {
-  HealthRun run = RunWithForensics(SeededRebootLoop());
+  HealthRun run = RunWithForensics(seeded::RebootLoop());
   const int svc_id = run.board->system().boot().FindCompartment("svc")->id;
   const BoardHealth h = AssessBoard(*run.board);
   ASSERT_EQ(Fired(h), std::vector<Detector>{Detector::kRebootLoop});
@@ -274,7 +149,7 @@ TEST(HealthTest, SeededRebootLoopTripsExactlyRebootLoop) {
 }
 
 TEST(HealthTest, SeededQuotaTripsExactlyQuotaExhaustion) {
-  HealthRun run = RunWithForensics(SeededQuota());
+  HealthRun run = RunWithForensics(seeded::Quota());
   const int app_id = run.board->system().boot().FindCompartment("app")->id;
   const BoardHealth h = AssessBoard(*run.board);
   EXPECT_EQ(h.traps, 0u);
@@ -285,14 +160,14 @@ TEST(HealthTest, SeededQuotaTripsExactlyQuotaExhaustion) {
 }
 
 TEST(HealthTest, SeededDeadlockTripsExactlyStuckBoard) {
-  HealthRun run = RunWithForensics(SeededDeadlock());
+  HealthRun run = RunWithForensics(seeded::Deadlock());
   EXPECT_EQ(run.board->last_result(), System::RunResult::kDeadlock);
   const BoardHealth h = AssessBoard(*run.board);
   EXPECT_EQ(Fired(h), std::vector<Detector>{Detector::kStuckBoard});
 }
 
 TEST(HealthTest, SeededRevokerBacklogTripsExactlyRevokerBacklog) {
-  HealthRun run = RunWithForensics(SeededRevokerBacklog());
+  HealthRun run = RunWithForensics(seeded::RevokerBacklog());
   const BoardHealth h = AssessBoard(*run.board);
   EXPECT_GT(h.heap_quarantined_bytes, 32u * 1024);
   EXPECT_EQ(Fired(h), std::vector<Detector>{Detector::kRevokerBacklog});
@@ -321,12 +196,12 @@ TEST(HealthTest, ForensicsMovesNoGuestCycleOnAnyShippedImage) {
 
 TEST(HealthTest, ForensicsMovesNoGuestCycleOnSeededFaultImages) {
   const std::vector<std::pair<const char*, FirmwareImage (*)()>> seeds = {
-      {"seeded-uaf", SeededUaf},
-      {"seeded-trap-storm", SeededTrapStorm},
-      {"seeded-reboot-loop", SeededRebootLoop},
-      {"seeded-quota", SeededQuota},
-      {"seeded-deadlock", SeededDeadlock},
-      {"seeded-revoker-backlog", SeededRevokerBacklog},
+      {"seeded-uaf", seeded::Uaf},
+      {"seeded-trap-storm", seeded::TrapStorm},
+      {"seeded-reboot-loop", seeded::RebootLoop},
+      {"seeded-quota", seeded::Quota},
+      {"seeded-deadlock", seeded::Deadlock},
+      {"seeded-revoker-backlog", seeded::RevokerBacklog},
   };
   for (const auto& [name, build] : seeds) {
     HealthRun on = RunWithForensics(build());
@@ -340,8 +215,8 @@ TEST(HealthTest, ForensicsMovesNoGuestCycleOnSeededFaultImages) {
 // --- 4. Determinism -------------------------------------------------------
 
 TEST(HealthTest, HealthReportIsDeterministicAndSchemaVersioned) {
-  HealthRun a = RunWithForensics(SeededUaf());
-  HealthRun b = RunWithForensics(SeededUaf());
+  HealthRun a = RunWithForensics(seeded::Uaf());
+  HealthRun b = RunWithForensics(seeded::Uaf());
   const json::Value ra = health::HealthReport(*a.board);
   EXPECT_EQ(ra.Dump(2), health::HealthReport(*b.board).Dump(2));
   EXPECT_EQ(ra["schema_version"].AsInt(), health::kHealthSchemaVersion);
@@ -357,7 +232,7 @@ TEST(HealthTest, HealthReportIsDeterministicAndSchemaVersioned) {
 }
 
 TEST(HealthTest, CrashDumpTextNamesFaultAndProvenance) {
-  HealthRun run = RunWithForensics(SeededUaf());
+  HealthRun run = RunWithForensics(seeded::Uaf());
   const std::string dump = health::CrashDumpText(*run.recorder);
   EXPECT_NE(dump.find("1 crash record(s)"), std::string::npos);
   EXPECT_NE(dump.find("tag violation"), std::string::npos);
