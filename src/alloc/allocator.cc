@@ -4,12 +4,9 @@
 
 #include "src/base/costs.h"
 #include "src/base/log.h"
-#include "src/cov/coverage.h"
-#include "src/health/forensics.h"
 #include "src/kernel/system.h"
 #include "src/runtime/compartment_ctx.h"
 #include "src/snap/wire.h"
-#include "src/trace/trace.h"
 
 namespace cheriot {
 
@@ -121,25 +118,16 @@ Capability Allocator::AllocateInternal(CompartmentCtx& ctx,
   const Word used = QuotaUsed(unsealed_q);
   if (used + need > limit) {
     ++quota_denials_;
-    if (auto* tr = m.trace()) {
-      // RawLoadWord, not QuotaId(): the trace path must not add costed
-      // accesses or the cycle model would move when tracing is on.
-      tr->OnQuotaExhausted(system_->current_thread_id(), ctx.compartment(),
-                           m.memory().RawLoadWord(unsealed_q.base() + 12),
-                           need);
-    }
-    if (auto* hr = m.forensics()) {
-      // Unlike the trace hook above, forensics attributes the denial to the
-      // compartment that *asked* for memory, not the alloc service the
-      // heap_allocate export runs in — that is what the quota-exhaustion
-      // detector keys on.
-      hr->OnQuotaExhausted(system_->current_thread_id(),
-                           AttributedCompartment(),
-                           m.memory().RawLoadWord(unsealed_q.base() + 12),
-                           need);
-    }
-    if (auto* cr = m.cov()) {
-      cr->OnQuotaDenied(m.memory().RawLoadWord(unsealed_q.base() + 12), need);
+    if (!m.observers().empty()) {
+      // RawLoadWord, not QuotaId(): observer paths must not add costed
+      // accesses or the cycle model would move when observers attach.
+      const obs::HeapEvent e{system_->current_thread_id(), ctx.compartment(),
+                             AttributedCompartment(),
+                             m.memory().RawLoadWord(unsealed_q.base() + 12),
+                             need};
+      for (obs::Observer* o : m.observers()) {
+        o->OnQuotaDenied(e);
+      }
     }
     return StatusCap(Status::kNoMemory);
   }
@@ -203,12 +191,13 @@ Capability Allocator::AllocateInternal(CompartmentCtx& ctx,
       sites_[chunk] = site;
       live_native_ += h.size;
       SetQuotaUsed(unsealed_q, QuotaUsed(unsealed_q) + h.size);
-      if (auto* tr = m.trace()) {
-        tr->OnHeapAlloc(system_->current_thread_id(), ctx.compartment(),
-                        h.quota, h.size);
-      }
-      if (auto* cr = m.cov()) {
-        cr->OnHeapAlloc(h.quota, h.size);
+      if (!m.observers().empty()) {
+        const obs::HeapEvent e{system_->current_thread_id(),
+                               ctx.compartment(), AttributedCompartment(),
+                               h.quota, h.size};
+        for (obs::Observer* o : m.observers()) {
+          o->OnHeapAlloc(e);
+        }
       }
       // Freed memory was zeroed in free(); exclusive allocator access
       // guarantees the zeros persisted (§3.1.3 "Zeroing").
@@ -256,12 +245,6 @@ void Allocator::ReleaseChunk(Address chunk, const Header& header) {
   WriteHeader(chunk, h);
   used_.erase(chunk);
   quarantine_.push_back(chunk);
-  // ReleaseChunk is reached from heap_free, heap_free_all, micro-reboot
-  // and deferred ephemeral-claim releases; the compartment attributed is
-  // whichever one the current thread is executing (or -1 from the kernel).
-  const int thread = system_->current_thread_id();
-  const int comp =
-      thread >= 0 ? system_->threads()[thread].current_compartment : -1;
   live_native_ -= std::min(live_native_, header.size);
   quarantined_native_ += header.size;
   if (auto site_it = sites_.find(chunk); site_it != sites_.end()) {
@@ -272,11 +255,18 @@ void Allocator::ReleaseChunk(Address chunk, const Header& header) {
     site_it->second.freed_by = AttributedCompartment();
     site_it->second.freed_at = system_->Now();
   }
-  if (auto* tr = m.trace()) {
-    tr->OnHeapFree(thread, comp, header.quota, header.size);
-  }
-  if (auto* cr = m.cov()) {
-    cr->OnHeapFree(header.quota, header.size);
+  if (!m.observers().empty()) {
+    // ReleaseChunk is reached from heap_free, heap_free_all, micro-reboot
+    // and deferred ephemeral-claim releases; the executing compartment is
+    // whichever one the current thread is in (or -1 from the kernel).
+    const int thread = system_->current_thread_id();
+    const int comp =
+        thread >= 0 ? system_->threads()[thread].current_compartment : -1;
+    const obs::HeapEvent e{thread, comp, AttributedCompartment(),
+                           header.quota, header.size};
+    for (obs::Observer* o : m.observers()) {
+      o->OnHeapFree(e);
+    }
   }
   system_->machine().revoker().StartSweep();
 }
@@ -570,8 +560,8 @@ Capability Allocator::TokenObjNew(CompartmentCtx& ctx,
   Memory& mem = system_->machine().memory();
   mem.StoreWord(heap_root_, raw.base(), key.cursor());  // virtual type header
   mem.StoreWord(heap_root_, raw.base() + 4, size);
-  if (auto* cr = system_->machine().cov()) {
-    cr->OnSealingUse(AttributedCompartment(), key.cursor(), /*unseal=*/false);
+  for (obs::Observer* o : system_->machine().observers()) {
+    o->OnSealingUse(AttributedCompartment(), key.cursor(), /*unseal=*/false);
   }
   return system_->token().SealWithHardwareType(raw);
 }
@@ -592,8 +582,8 @@ Status Allocator::TokenObjDestroy(CompartmentCtx& ctx,
   if (vtype != key.cursor()) {
     return Status::kPermissionDenied;
   }
-  if (auto* cr = system_->machine().cov()) {
-    cr->OnSealingUse(AttributedCompartment(), key.cursor(), /*unseal=*/true);
+  for (obs::Observer* o : system_->machine().observers()) {
+    o->OnSealingUse(AttributedCompartment(), key.cursor(), /*unseal=*/true);
   }
   // The sealed allocation requires both the matching allocation capability
   // and the sealing key to deallocate (§3.2.3).

@@ -9,7 +9,7 @@ Machine::Machine(const MachineConfig& config)
       memory_(config.sram_base, config.sram_size, &clock_),
       leds_(&clock_),
       timer_(&clock_, &irqs_),
-      revoker_(&memory_, &irqs_),
+      revoker_(&memory_, &irqs_, &observers_),
       ethernet_(&irqs_) {
   uart_.set_echo(config.uart_echo);
 
@@ -36,6 +36,20 @@ Machine::Machine(const MachineConfig& config)
         machine->timer_.Poll();
       },
       this);
+}
+
+void Machine::Attach(obs::Observer* observer) {
+  observers_.Add(observer);
+  // MMIO events ride Memory's device-window slow path, so the SRAM fast
+  // path stays untouched whether or not anything observes.
+  memory_.SetMmioObserver(
+      [](void* self, Address addr, Address size, bool is_store) {
+        for (obs::Observer* o : static_cast<Machine*>(self)->observers_) {
+          o->OnMmioAccess(addr, size, is_store);
+        }
+      },
+      this);
+  observer->OnAttach(*this);
 }
 
 bool Machine::HasFutureEvent() const {

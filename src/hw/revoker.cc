@@ -2,7 +2,6 @@
 
 #include "src/base/costs.h"
 #include "src/snap/wire.h"
-#include "src/trace/trace.h"
 
 namespace cheriot {
 
@@ -40,8 +39,8 @@ void Revoker::StartSweep() {
   sweeping_ = true;
   next_granule_ = 0;
   budget_ = 0;
-  if (trace_ != nullptr) {
-    trace_->OnSweepBegin(epoch_);
+  for (obs::Observer* o : *observers_) {
+    o->OnSweepBegin(epoch_);
   }
 }
 
@@ -90,8 +89,8 @@ void Revoker::AdvanceSweep(Cycles delta) {
   if (next_granule_ >= total) {
     ++epoch_;
     sweeping_ = false;
-    if (trace_ != nullptr) {
-      trace_->OnSweepEnd(epoch_, total);
+    for (obs::Observer* o : *observers_) {
+      o->OnSweepEnd(epoch_, total);
     }
     if (irq_requested_) {
       irqs_->Raise(IrqLine::kRevoker);

@@ -10,17 +10,17 @@
 #include "src/base/types.h"
 #include "src/hw/devices.h"
 #include "src/mem/memory.h"
+#include "src/obs/observer.h"
 
 namespace cheriot {
 
-namespace trace {
-class TraceRecorder;
-}  // namespace trace
-
 class Revoker {
  public:
-  Revoker(Memory* memory, InterruptController* irqs)
-      : memory_(memory), irqs_(irqs) {}
+  // Sweep begin/end events go to `observers` (the machine's list): only the
+  // revoker knows when a sweep actually completes.
+  Revoker(Memory* memory, InterruptController* irqs,
+          const obs::ObserverList* observers)
+      : memory_(memory), irqs_(irqs), observers_(observers) {}
 
   // MMIO register bank: 0 = epoch (completed sweeps), 4 = control (write 1
   // to start a sweep; idempotent while sweeping), 8 = status (1 = sweeping),
@@ -49,12 +49,8 @@ class Revoker {
   // loop's time-skip.
   Cycles CyclesUntilDone() const;
 
-  // Published by Machine::set_trace; sweep begin/end events are emitted from
-  // here because only the revoker knows when a sweep actually completes.
-  void set_trace(trace::TraceRecorder* recorder) { trace_ = recorder; }
-
   // Snapshot serialisation (DESIGN.md §10): sweep progress is guest-visible
-  // state; memory_/irqs_/trace_ are host handles owned by the Machine.
+  // state; memory_/irqs_/observers_ are host handles owned by the Machine.
   void SerializeState(snap::Writer& w) const;
 
  private:
@@ -62,7 +58,7 @@ class Revoker {
 
   Memory* memory_;
   InterruptController* irqs_;
-  trace::TraceRecorder* trace_ = nullptr;
+  const obs::ObserverList* observers_;
   bool sweeping_ = false;
   bool restart_requested_ = false;
   bool irq_requested_ = false;

@@ -50,8 +50,8 @@ class GuestThread {
   // Native mirror of the trusted stack's compartment chain (outermost first,
   // current compartment last), maintained by the switcher at the same choke
   // points as frame_depth. Lets the TCB attribute an operation to the alloc
-  // service's *caller* without reading simulated memory (which would tick
-  // the clock).
+  // service's *caller*, and every observer (src/obs) read the call stack,
+  // without reading simulated memory (which would tick the clock).
   std::vector<int> compartment_stack;
   bool interrupts_enabled = true;
   // Ephemeral-claim hazard slots (§3.2.5), cleared at each compartment call.

@@ -5,7 +5,6 @@
 
 #include "src/base/costs.h"
 #include "src/base/log.h"
-#include "src/trace/trace.h"
 
 namespace cheriot::net {
 
@@ -544,12 +543,12 @@ NetWorld::NetWorld(Machine& machine, WorldOptions options)
   gateway_.set_emit([this](Bytes frame, flow::FlowId flow) {
     Deliver(std::move(frame), flow);
   });
-  // Injected gateway losses surface as kFrameDrop events in the machine's
-  // trace (when one is attached) — the drop hook is a pure observation on a
-  // path the gateway already executes, so the cycle model is untouched.
+  // Injected gateway losses reach the machine's observers as frame drops —
+  // the drop hook is a pure observation on a path the gateway already
+  // executes, so the cycle model is untouched.
   gateway_.set_drop_trace([this](Cycles, size_t bytes, flow::FlowId id) {
-    if (auto* tr = machine_.trace()) {
-      tr->OnFrameDrop(flow::kDropGatewayTcp, bytes, id.origin, id.seq);
+    for (obs::Observer* o : machine_.observers()) {
+      o->OnFrameDrop(flow::kDropGatewayTcp, bytes, id);
     }
   });
   machine_.ethernet().on_transmit = [this](Bytes frame) {

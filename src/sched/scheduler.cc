@@ -5,9 +5,14 @@
 #include "src/base/check.h"
 #include "src/kernel/schedule_arbiter.h"
 #include "src/snap/wire.h"
-#include "src/trace/trace.h"
 
 namespace cheriot {
+
+void Scheduler::Admit(int thread_id) {
+  GuestThread& t = T(thread_id);
+  t.state = GuestThread::State::kReady;
+  ready_[t.priority % kPriorities].push_back(thread_id);
+}
 
 void Scheduler::MakeReady(int thread_id) {
   GuestThread& t = T(thread_id);
@@ -39,8 +44,8 @@ void Scheduler::MakeReady(int thread_id) {
       t.state != GuestThread::State::kRunning) {
     t.state = GuestThread::State::kReady;
     ready_[t.priority % kPriorities].push_back(thread_id);
-    if (trace_ != nullptr) {
-      trace_->OnThreadWake(thread_id);
+    for (obs::Observer* o : *observers_) {
+      o->OnThreadWake(thread_id);
     }
   }
 }
@@ -57,8 +62,8 @@ void Scheduler::MakeBlocked(int thread_id, Address futex_addr, Cycles wake_at) {
     futex_waiters_[futex_addr].push_back(thread_id);
     ++futex_waits_;
   }
-  if (trace_ != nullptr) {
-    trace_->OnThreadBlock(thread_id, futex_addr);
+  for (obs::Observer* o : *observers_) {
+    o->OnThreadBlock(thread_id, futex_addr);
   }
 }
 
@@ -68,8 +73,8 @@ void Scheduler::MakeSleeping(int thread_id, Cycles wake_at) {
   t.state = GuestThread::State::kSleeping;
   t.futex_addr = 0;
   t.wake_at = wake_at;
-  if (trace_ != nullptr) {
-    trace_->OnThreadSleep(thread_id, wake_at);
+  for (obs::Observer* o : *observers_) {
+    o->OnThreadSleep(thread_id, wake_at);
   }
 }
 
@@ -133,8 +138,8 @@ int Scheduler::FutexWake(Address addr, int count) {
       if (t.state == GuestThread::State::kBlocked) {
         t.state = GuestThread::State::kReady;
         ready_[t.priority % kPriorities].push_back(id);
-        if (trace_ != nullptr) {
-          trace_->OnThreadWake(id);
+        for (obs::Observer* o : *observers_) {
+          o->OnThreadWake(id);
         }
       }
       ++woken;
@@ -179,8 +184,8 @@ int Scheduler::FutexWake(Address addr, int count) {
     if (t.state == GuestThread::State::kBlocked) {
       t.state = GuestThread::State::kReady;
       ready_[t.priority % kPriorities].push_back(id);
-      if (trace_ != nullptr) {
-        trace_->OnThreadWake(id);
+      for (obs::Observer* o : *observers_) {
+        o->OnThreadWake(id);
       }
     }
     ++woken;
@@ -248,8 +253,8 @@ void Scheduler::BlockOnMultiwaiter(int thread_id, int mw_id, Cycles wake_at) {
   t.timed_out = false;
   t.block_seq = ++block_seq_counter_;
   multiwaiters_[mw_id].waiting_thread = thread_id;
-  if (trace_ != nullptr) {
-    trace_->OnThreadBlock(thread_id, 0);
+  for (obs::Observer* o : *observers_) {
+    o->OnThreadBlock(thread_id, 0);
   }
 }
 
@@ -278,8 +283,8 @@ int Scheduler::WakeExpired(Cycles now) {
       t.wake_at = GuestThread::kNoDeadline;
       t.state = GuestThread::State::kReady;
       ready_[t.priority % kPriorities].push_back(t.id);
-      if (trace_ != nullptr) {
-        trace_->OnThreadWake(t.id);
+      for (obs::Observer* o : *observers_) {
+        o->OnThreadWake(t.id);
       }
       ++woken;
     }

@@ -18,14 +18,11 @@
 #include "src/base/types.h"
 #include "src/hw/devices.h"
 #include "src/kernel/guest_thread.h"
+#include "src/obs/observer.h"
 
 namespace cheriot {
 
 class ScheduleArbiter;
-
-namespace trace {
-class TraceRecorder;
-}  // namespace trace
 
 namespace snap {
 class Writer;
@@ -35,9 +32,15 @@ class Scheduler {
  public:
   static constexpr int kPriorities = 16;
 
-  explicit Scheduler(std::vector<GuestThread>* threads) : threads_(threads) {}
+  // Wake, block and sleep events go to `observers` (the machine's list).
+  Scheduler(std::vector<GuestThread>* threads,
+            const obs::ObserverList* observers)
+      : threads_(threads), observers_(observers) {}
 
   // --- Ready-queue management ---
+  // Queues a freshly created thread. Not a wake: observers meet a thread at
+  // its first context switch.
+  void Admit(int thread_id);
   void MakeReady(int thread_id);
   void MakeBlocked(int thread_id, Address futex_addr, Cycles wake_at);
   void MakeSleeping(int thread_id, Cycles wake_at);
@@ -90,18 +93,14 @@ class Scheduler {
 
   bool AllExited() const;
 
-  // Flight recorder for wake/sleep/block events; null when tracing is off.
-  // Set by System::Boot when a recorder is attached to the machine.
-  void set_trace(trace::TraceRecorder* recorder) { trace_ = recorder; }
-
   // Schedule-exploration arbiter (src/kernel/schedule_arbiter.h); null in
   // normal operation. Consulted for wake-order and multiwaiter-completion
-  // choices in FutexWake. A host handle like trace_: never snapshotted.
+  // choices in FutexWake. A host handle: never snapshotted.
   void set_arbiter(ScheduleArbiter* arbiter) { arbiter_ = arbiter; }
 
   // Snapshot serialisation (DESIGN.md §10): queues, wait sets, multiwaiter
   // table (including dead slots — indices are guest-visible ids) and idle
-  // accounting. threads_/trace_ are host handles owned by the System.
+  // accounting. threads_/observers_ are host handles owned by the System.
   void SerializeState(snap::Writer& w) const;
 
  private:
@@ -125,7 +124,7 @@ class Scheduler {
   // Source of GuestThread::block_seq stamps; monotonic over the machine's
   // life and serialized so FIFO wake order is pinned across snapshot/restore.
   uint64_t block_seq_counter_ = 0;
-  trace::TraceRecorder* trace_ = nullptr;
+  const obs::ObserverList* observers_;
   ScheduleArbiter* arbiter_ = nullptr;
 };
 

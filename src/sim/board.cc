@@ -24,8 +24,8 @@ Board::Board(FirmwareImage image, const BoardOptions& options)
     // bit-identical — including their snapshots.
     const flow::FlowId flow{static_cast<int16_t>(options_.index), tx_seq_++};
     ++nic_tx_frames_;
-    if (auto* tr = machine_.trace()) {
-      tr->OnNicTx(frame.size(), flow.origin, flow.seq);
+    for (obs::Observer* o : machine_.observers()) {
+      o->OnNicTx(frame.size(), flow);
     }
     tx_staged_.push_back({machine_.clock().now(), std::move(frame), flow});
   };
@@ -38,41 +38,47 @@ Board::Board(FirmwareImage image, const BoardOptions& options)
   });
 }
 
+// Stages flow observations for the Fleet (see Board::FlowObs).
+class Board::FlowStager : public obs::Observer {
+ public:
+  void OnAttach(Machine& machine) override { clock_ = &machine.clock(); }
+  void OnNicRx(size_t bytes, const flow::FlowId& flow) override {
+    staged_.push_back({FlowObs::Kind::kDelivered, flow, clock_->now(),
+                       static_cast<uint32_t>(bytes)});
+  }
+  void OnFrameDrop(uint8_t, size_t bytes, const flow::FlowId& flow) override {
+    staged_.push_back({FlowObs::Kind::kDropped, flow, clock_->now(),
+                       static_cast<uint32_t>(bytes)});
+  }
+  std::vector<FlowObs> Drain() {
+    std::vector<FlowObs> out;
+    out.swap(staged_);
+    return out;
+  }
+
+ private:
+  const CycleClock* clock_ = nullptr;
+  std::vector<FlowObs> staged_;
+};
+
 trace::TraceRecorder* Board::EnableTrace(trace::TraceOptions options) {
-  CHERIOT_CHECK(!booted_, "Board::EnableTrace() after Boot()");
-  trace_options_ = options;
-  trace_ = std::make_unique<trace::TraceRecorder>(options);
-  trace_->SetLabel("board" + std::to_string(options_.index));
-  trace_->SetBoardIndex(options_.index);
-  trace::Attach(machine_, trace_.get());
-  return trace_.get();
+  return trace_ = Attach(std::make_unique<trace::TraceRecorder>(options));
 }
 
 health::ForensicsRecorder* Board::EnableForensics(
     health::ForensicsOptions options) {
-  CHERIOT_CHECK(!booted_, "Board::EnableForensics() after Boot()");
-  forensics_ = std::make_unique<health::ForensicsRecorder>(options);
-  forensics_->SetLabel("board" + std::to_string(options_.index));
-  forensics_->SetBoardIndex(options_.index);
-  health::Attach(machine_, forensics_.get());
-  forensics_options_ = options;
-  if (options.capture_crash_scene) {
-    // Crash-scene capture (DESIGN.md §10): attach a full machine-state
-    // snapshot to each crash record. The serializer is a pure observer —
-    // zero guest cycles, pinned by the on/off fingerprint-diff test.
-    forensics_->SetSceneHook([this] { return SerializeCrashScene(); });
-  }
-  return forensics_.get();
+  // The crash-scene hook (DESIGN.md §10) runs only when
+  // options.capture_crash_scene is set; the serializer is a pure observer.
+  return forensics_ = Attach(std::make_unique<health::ForensicsRecorder>(
+             options, [this] { return SerializeCrashScene(); }));
 }
 
 cov::CovRecorder* Board::EnableCoverage(cov::CovOptions options) {
-  CHERIOT_CHECK(!booted_, "Board::EnableCoverage() after Boot()");
-  cov_options_ = options;
-  cov_ = std::make_unique<cov::CovRecorder>(options);
-  cov_->SetLabel("board" + std::to_string(options_.index));
-  cov_->SetBoardIndex(options_.index);
-  cov::Attach(machine_, cov_.get());
-  return cov_.get();
+  return cov_ = Attach(std::make_unique<cov::CovRecorder>(options));
+}
+
+void Board::EnableFlowStaging() {
+  flow_stager_ = Attach(std::make_unique<FlowStager>());
 }
 
 void Board::Boot() {
@@ -88,30 +94,22 @@ void Board::PumpRx() {
     RxFrame& rx = rx_pending_[rx_head_];
     // kNicLoss injection point: the arbiter may drop a due frame instead of
     // delivering it (models lossy links; only branched under cheriot_mc
-    // --inject-faults). The drop is observable: a kFrameDrop trace event, a
-    // board counter, and a flow observation — not just retransmit echoes.
+    // --inject-faults). The drop is observable — a board counter and a frame
+    // drop event for the observers (trace, flow) — not just retransmit
+    // echoes.
     const uint32_t seq = rx_frame_seq_++;
     if (arbiter_ != nullptr &&
         arbiter_->Choose(DecisionKind::kNicLoss, seq, 2) == 1) {
       ++nic_frames_dropped_;
-      if (auto* tr = machine_.trace()) {
-        tr->OnFrameDrop(flow::kDropNicLoss, rx.frame.size(), rx.flow.origin,
-                        rx.flow.seq);
-      }
-      if (flow_staging_) {
-        flow_obs_.push_back({FlowObs::Kind::kDropped, rx.flow, now,
-                             static_cast<uint32_t>(rx.frame.size())});
+      for (obs::Observer* o : machine_.observers()) {
+        o->OnFrameDrop(flow::kDropNicLoss, rx.frame.size(), rx.flow);
       }
       rx.frame = {};
       continue;
     }
     ++nic_rx_frames_;
-    if (auto* tr = machine_.trace()) {
-      tr->OnNicRx(rx.frame.size(), rx.flow.origin, rx.flow.seq);
-    }
-    if (flow_staging_) {
-      flow_obs_.push_back({FlowObs::Kind::kDelivered, rx.flow, now,
-                           static_cast<uint32_t>(rx.frame.size())});
+    for (obs::Observer* o : machine_.observers()) {
+      o->OnNicRx(rx.frame.size(), rx.flow);
     }
     machine_.ethernet().HostInject(std::move(rx.frame));
   }
@@ -177,9 +175,8 @@ std::vector<Board::TxFrame> Board::DrainTx() {
 }
 
 std::vector<Board::FlowObs> Board::DrainFlowObs() {
-  std::vector<FlowObs> out;
-  out.swap(flow_obs_);
-  return out;
+  return flow_stager_ != nullptr ? flow_stager_->Drain()
+                                 : std::vector<FlowObs>();
 }
 
 void Board::InjectAt(Cycles due, SharedFrame frame, flow::FlowId flow) {
@@ -330,50 +327,15 @@ void Board::BuildSnapshotContainer(snap::Container& c) {
                 "Board::Snapshot() mid-run with the replay log disabled "
                 "produces an unrestorable snapshot");
   c.kind = snap::kBoard;
-  c.flags = snap::kHasReplayLog;
-  if (trace_ != nullptr) {
-    c.flags |= snap::kHasTrace;
-  }
-  if (forensics_ != nullptr) {
-    c.flags |= snap::kHasForensics;
-  }
-  if (cov_ != nullptr) {
-    c.flags |= snap::kHasCoverage;
-  }
+  c.flags = snap::kHasReplayLog | machine_.observers().SnapshotFlags();
   AddSection(c, snap::kSecOptions, [this](snap::Writer& w) {
     SerializeBoardOptions(w, options_);
-    w.Bool(trace_ != nullptr);
-    if (trace_ != nullptr) {
-      w.U64(trace_options_.ring_capacity);
-      w.Bool(trace_options_.profile);
-    }
-    w.Bool(forensics_ != nullptr);
-    if (forensics_ != nullptr) {
-      w.U64(forensics_options_.ring_capacity);
-      w.U64(forensics_options_.reboot_history);
-      w.Bool(forensics_options_.capture_crash_scene);
-      w.U64(forensics_options_.scene_limit);
-    }
-    w.Bool(cov_ != nullptr);
-    if (cov_ != nullptr) {
-      w.Bool(cov_options_.mmio_granules);
-    }
+    machine_.observers().SerializeOptions(w);
   });
   AddSection(c, snap::kSecBootInfo,
              [this](snap::Writer& w) { SerializeBootInfo(w, system_.boot()); });
   BuildStateSections(c);
-  if (trace_ != nullptr) {
-    AddSection(c, snap::kSecTrace,
-               [this](snap::Writer& w) { trace_->SerializeState(w); });
-  }
-  if (forensics_ != nullptr) {
-    AddSection(c, snap::kSecForensics,
-               [this](snap::Writer& w) { forensics_->SerializeState(w); });
-  }
-  if (cov_ != nullptr) {
-    AddSection(c, snap::kSecCoverage,
-               [this](snap::Writer& w) { cov_->SerializeState(w); });
-  }
+  machine_.observers().AppendSections(c);
   AddSection(c, snap::kSecReplayLog, [this](snap::Writer& w) {
     w.U64(op_log_.size());
     for (const BoardOp& op : op_log_) {
@@ -390,6 +352,22 @@ void Board::Snapshot(std::vector<uint8_t>& out) {
   snap::Container c;
   BuildSnapshotContainer(c);
   out = c.Assemble();
+}
+
+RecorderOptions ReadRecorderOptions(snap::Reader& r) {
+  // Per kind, in the order obs::ObserverList::SerializeOptions writes: a
+  // presence flag, then that recorder's options.
+  RecorderOptions o;
+  if (r.Bool()) {
+    o.trace = trace::TraceRecorder::ReadOptions(r);
+  }
+  if (r.Bool()) {
+    o.forensics = health::ForensicsRecorder::ReadOptions(r);
+  }
+  if (r.Bool()) {
+    o.cov = cov::CovRecorder::ReadOptions(r);
+  }
+  return o;
 }
 
 void CheckSramSection(const snap::Container& state,
@@ -416,38 +394,20 @@ std::unique_ptr<Board> Board::Restore(const uint8_t* data, size_t size,
   const snap::Section& opts_sec = c.Require(snap::kSecOptions);
   snap::Reader opts(opts_sec.body);
   BoardOptions options = DeserializeBoardOptions(opts);
-  const bool has_trace = opts.Bool();
-  trace::TraceOptions trace_options;
-  if (has_trace) {
-    trace_options.ring_capacity = opts.U64();
-    trace_options.profile = opts.Bool();
-  }
-  const bool has_forensics = opts.Bool();
-  health::ForensicsOptions forensics_options;
-  if (has_forensics) {
-    forensics_options.ring_capacity = opts.U64();
-    forensics_options.reboot_history = opts.U64();
-    forensics_options.capture_crash_scene = opts.Bool();
-    forensics_options.scene_limit = opts.U64();
-  }
-  const bool has_cov = opts.Bool();
-  cov::CovOptions cov_options;
-  if (has_cov) {
-    cov_options.mmio_granules = opts.Bool();
-  }
+  const RecorderOptions recorders = ReadRecorderOptions(opts);
   opts.ExpectEnd("OPTS");
   CheckSramSection(c, options.machine);
   const Cycles saved_now = snap::Reader(c.Require(snap::kSecClock).body).U64();
 
   auto board = std::make_unique<Board>(std::move(image), options);
-  if (has_trace) {
-    board->EnableTrace(trace_options);
+  if (recorders.trace) {
+    board->EnableTrace(*recorders.trace);
   }
-  if (has_forensics) {
-    board->EnableForensics(forensics_options);
+  if (recorders.forensics) {
+    board->EnableForensics(*recorders.forensics);
   }
-  if (has_cov) {
-    board->EnableCoverage(cov_options);
+  if (recorders.cov) {
+    board->EnableCoverage(*recorders.cov);
   }
 
   // Boot, then re-execute the logged external inputs. Execution is fully

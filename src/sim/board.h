@@ -9,16 +9,21 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/base/check.h"
 #include "src/cov/coverage.h"
 #include "src/flow/flow.h"
 #include "src/health/forensics.h"
 #include "src/hw/machine.h"
 #include "src/hw/shared_frame.h"
 #include "src/kernel/system.h"
+#include "src/obs/observer.h"
 #include "src/snap/snapshot.h"
+#include "src/snap/wire.h"
 #include "src/trace/trace.h"
 
 namespace cheriot::sim {
@@ -41,6 +46,17 @@ EthernetDevice::Mac MacForIndex(int index);
 // value the blob does not back.
 void CheckSramSection(const snap::Container& state,
                       const MachineConfig& machine);
+
+// The snapshot recorder options block (OPTS, FLET), decoded: one entry per
+// recorder kind, set when that recorder was attached. Written by
+// obs::ObserverList::SerializeOptions; ReadRecorderOptions is its one
+// reader.
+struct RecorderOptions {
+  std::optional<trace::TraceOptions> trace;
+  std::optional<health::ForensicsOptions> forensics;
+  std::optional<cov::CovOptions> cov;
+};
+RecorderOptions ReadRecorderOptions(snap::Reader& r);
 
 class Board {
  public:
@@ -66,25 +82,18 @@ class Board {
   Board(const Board&) = delete;
   Board& operator=(const Board&) = delete;
 
-  // Creates and attaches a flight recorder (src/trace) for this board,
-  // labeled "board<index>". Must be called before Boot() so boot cycles are
-  // attributed and the name tables are published. Returns the recorder; the
-  // board owns it.
+  // Creates and attaches a recorder for this board, labeled "board<index>":
+  // a flight recorder (src/trace), a crash-forensics recorder (src/health)
+  // or an authority-coverage recorder (src/cov). Must be called before
+  // Boot(), at most once per kind. Returns the recorder; the board owns it.
   trace::TraceRecorder* EnableTrace(trace::TraceOptions options = {});
-  trace::TraceRecorder* trace_recorder() { return trace_.get(); }
-
-  // Creates and attaches a crash-forensics recorder (src/health) for this
-  // board, labeled "board<index>". Must be called before Boot() so the name
-  // tables are published. Returns the recorder; the board owns it.
   health::ForensicsRecorder* EnableForensics(
       health::ForensicsOptions options = {});
-  health::ForensicsRecorder* forensics_recorder() { return forensics_.get(); }
-
-  // Creates and attaches an authority-coverage recorder (src/cov) for this
-  // board, labeled "board<index>". Must be called before Boot() so the name
-  // and grant tables are published. Returns the recorder; the board owns it.
   cov::CovRecorder* EnableCoverage(cov::CovOptions options = {});
-  cov::CovRecorder* cov_recorder() { return cov_.get(); }
+  // The attached recorder of each kind, or null.
+  trace::TraceRecorder* trace_recorder() const { return trace_; }
+  health::ForensicsRecorder* forensics_recorder() const { return forensics_; }
+  cov::CovRecorder* cov_recorder() const { return cov_; }
 
   void Boot();
 
@@ -131,10 +140,10 @@ class Board {
   void InjectAt(Cycles due, SharedFrame frame, flow::FlowId flow = {});
 
   // --- Flow observations (PR 9) --------------------------------------------
-  // When staging is on (Fleet flow mode), PumpRx records one observation per
-  // delivered or fault-dropped frame; the Fleet drains them at epoch
+  // With flow staging attached (Fleet flow mode), one observation is staged
+  // per delivered or fault-dropped frame; the Fleet drains them at epoch
   // barriers in board-index order and feeds the FlowRecorder. Purely
-  // host-side: staging on/off cannot move a guest cycle.
+  // host-side: staging cannot move a guest cycle.
   struct FlowObs {
     enum class Kind : uint8_t { kDelivered = 0, kDropped = 1 };
     Kind kind = Kind::kDelivered;
@@ -142,11 +151,11 @@ class Board {
     Cycles at = 0;
     uint32_t bytes = 0;
   };
-  void set_flow_staging(bool on) { flow_staging_ = on; }
+  void EnableFlowStaging();
   std::vector<FlowObs> DrainFlowObs();
 
   // NIC counters (fed to the fleet metrics time-series; maintained whether
-  // or not a trace recorder is attached).
+  // or not anything observes).
   uint64_t nic_tx_frames() const { return nic_tx_frames_; }
   uint64_t nic_rx_frames() const { return nic_rx_frames_; }
   uint64_t nic_frames_dropped() const { return nic_frames_dropped_; }
@@ -210,6 +219,21 @@ class Board {
   System::RunResult last_result() const { return last_result_; }
 
  private:
+  class FlowStager;
+
+  // The one attach path: labels the observer, attaches it to the machine
+  // (which refuses a second one of the same kind) and takes ownership.
+  template <typename R>
+  R* Attach(std::unique_ptr<R> observer) {
+    CHERIOT_CHECK(!booted_, "Board: observers attach before Boot()");
+    observer->SetOwner("board" + std::to_string(options_.index),
+                       options_.index);
+    R* raw = observer.get();
+    machine_.Attach(raw);
+    observers_.push_back(std::move(observer));
+    return raw;
+  }
+
   struct BoardOp {
     enum class Kind : uint8_t { kStep = 0, kInject = 1 };
     Kind kind = Kind::kStep;
@@ -239,9 +263,11 @@ class Board {
   BoardOptions options_;
   Machine machine_;
   System system_;
-  std::unique_ptr<trace::TraceRecorder> trace_;
-  std::unique_ptr<health::ForensicsRecorder> forensics_;
-  std::unique_ptr<cov::CovRecorder> cov_;
+  // Owned observers, in attach order (the machine's list points at them).
+  std::vector<std::unique_ptr<obs::Observer>> observers_;
+  trace::TraceRecorder* trace_ = nullptr;
+  health::ForensicsRecorder* forensics_ = nullptr;
+  cov::CovRecorder* cov_ = nullptr;
   std::vector<TxFrame> tx_staged_;
   // Frames awaiting delivery, in delivery order (ascending due, first in
   // first out among equal dues). Entries before rx_head_ are delivered;
@@ -249,8 +275,7 @@ class Board {
   std::vector<RxFrame> rx_pending_;
   size_t rx_head_ = 0;
   uint32_t tx_seq_ = 0;  // flow-id sequence; ticks on every transmit
-  std::vector<FlowObs> flow_obs_;
-  bool flow_staging_ = false;
+  FlowStager* flow_stager_ = nullptr;
   uint64_t nic_tx_frames_ = 0;
   uint64_t nic_rx_frames_ = 0;
   uint64_t nic_frames_dropped_ = 0;
@@ -261,10 +286,6 @@ class Board {
   bool op_log_enabled_ = true;
   ScheduleArbiter* arbiter_ = nullptr;
   uint32_t rx_frame_seq_ = 0;  // kNicLoss decision subject
-  // Recorder options as passed to Enable*(), re-applied on replay restore.
-  trace::TraceOptions trace_options_;
-  health::ForensicsOptions forensics_options_;
-  cov::CovOptions cov_options_;
 };
 
 }  // namespace cheriot::sim

@@ -1,14 +1,9 @@
 #include "src/switcher/switcher.h"
 
-#include <optional>
-
 #include "src/base/costs.h"
 #include "src/base/log.h"
-#include "src/cov/coverage.h"
-#include "src/health/forensics.h"
 #include "src/kernel/system.h"
 #include "src/runtime/compartment_ctx.h"
-#include "src/trace/trace.h"
 
 namespace cheriot {
 
@@ -159,17 +154,10 @@ Capability Switcher::DoCall(GuestThread& t, int callee_id, int export_index,
   ++t.compartment_calls;
   posture_guard->Disarm();  // posture now managed explicitly below
   t.interrupts_enabled = PostureToEnabled(exp.posture, saved_irq);
-  if (auto* tr = m.trace()) {
-    // The recorder mirrors the call depth itself: reading the trusted stack
-    // here would tick guest cycles and perturb the model it observes.
-    tr->OnCompartmentCall(t.id, caller_comp, callee_id, export_index);
-  }
-  if (auto* hr = m.forensics()) {
-    hr->OnCompartmentCall(t.id, callee_id);
-  }
-  if (auto* cr = m.cov()) {
-    cr->OnCompartmentCall(t.id, caller_comp, callee_id, export_index,
-                          t.frame_depth);
+  for (obs::Observer* o : m.observers()) {
+    // Observers read the native compartment_stack and frame_depth: reading
+    // the trusted stack would tick guest cycles and perturb the model.
+    o->OnCompartmentCall(t, caller_comp, export_index);
   }
 
   Capability result;
@@ -198,24 +186,20 @@ Capability Switcher::DoCall(GuestThread& t, int callee_id, int export_index,
       result = StatusCap(Status::kCompartmentFail);
       if (f.target_compartment == callee_id) {
         t.forced_unwind.erase(callee_id);
-        if (auto* hr = m.forensics()) {
-          // The forced unwind resolves at the evicted compartment's own
-          // frame: file one record per evicted thread, not per stack frame
-          // peeled on the way here. No architectural fault address exists;
-          // the register file reflects the compartment context being torn
-          // down (micro-reboot step 2).
+        // The forced unwind resolves at the evicted compartment's own frame:
+        // one disposition per evicted thread, not per stack frame peeled on
+        // the way here. No architectural fault address exists; the register
+        // file is the compartment context being torn down (micro-reboot
+        // step 2).
+        if (!m.observers().empty()) {
           RegisterFile regs;
           regs.pcc = callee.pcc;
           regs.cgp = callee.cgp;
           regs.csp = t.stack_cap.WithAddress(t.sp);
-          health::CrashRecord r = BuildCrashRecord(
-              t, callee_id, TrapCode::kForcedUnwind, 0, regs);
-          r.disposition = health::Disposition::kForcedUnwind;
-          const uint64_t seq = hr->Record(std::move(r));
-          if (auto* tr = m.trace()) {
-            tr->OnCrashRecord(t.id,
-                              static_cast<int>(TrapCode::kForcedUnwind),
-                              callee_id, 0, seq);
+          const obs::TrapEvent e{t, callee_id, TrapCode::kForcedUnwind, 0,
+                                 regs};
+          for (obs::Observer* o : m.observers()) {
+            o->OnTrapDisposition(e, obs::Disposition::kForcedUnwind);
           }
         }
       } else {
@@ -239,18 +223,11 @@ Capability Switcher::DoCall(GuestThread& t, int callee_id, int export_index,
   if (!t.compartment_stack.empty()) {
     t.compartment_stack.pop_back();
   }
-  if (auto* tr = m.trace()) {
-    // Emitted after the return-path tick so the switcher's unwind/zeroing
-    // cost is charged to the callee, matching the call path charging setup
-    // to the caller. Unwind paths still reach here, keeping the recorder's
-    // mirrored stack balanced.
-    tr->OnCompartmentReturn(t.id, callee_id, caller_comp);
-  }
-  if (auto* hr = m.forensics()) {
-    hr->OnCompartmentReturn(t.id);
-  }
-  if (auto* cr = m.cov()) {
-    cr->OnCompartmentReturn(t.id);
+  for (obs::Observer* o : m.observers()) {
+    // After the return-path tick, so the switcher's unwind/zeroing cost is
+    // charged to the callee, matching the call path charging setup to the
+    // caller. Unwind paths reach here too.
+    o->OnCompartmentReturn(t, callee_id);
   }
   t.interrupts_enabled = saved_irq;
   if (saved_irq) {
@@ -279,12 +256,8 @@ Capability Switcher::LibraryCall(GuestThread& t, const ImportBinding& b,
   }
   const LibraryRuntime& lib = boot.libraries[b.target_library];
   const ExportDef& exp = lib.def->exports[b.target_export];
-  if (auto* tr = m.trace()) {
-    tr->OnLibraryCall(t.id, b.target_library, b.target_export);
-  }
-  if (auto* cr = m.cov()) {
-    cr->OnLibraryCall(t.id, t.current_compartment, b.target_library,
-                      b.target_export);
+  for (obs::Observer* o : m.observers()) {
+    o->OnLibraryCall(t, b.target_library, b.target_export);
   }
 
   // Sentries carry interrupt-posture semantics (§2.1); the matching return
@@ -308,35 +281,23 @@ ErrorRecovery Switcher::DeliverTrap(GuestThread& t, CompartmentCtx& ctx,
   ++trap_count_;
   BootInfo& boot = system_->boot();
   Machine& m = system_->machine();
-  if (auto* tr = m.trace()) {
-    tr->OnTrap(t.id, static_cast<int>(info->cause), ctx.compartment());
+  // Observers snapshot the fault before any handler runs (the handler may
+  // repair the register file or free the object the fault hit) and learn
+  // the disposition once the outcome is known.
+  const obs::TrapEvent e{t, ctx.compartment(), info->cause,
+                         info->fault_address, info->regs};
+  for (obs::Observer* o : m.observers()) {
+    o->OnTrap(e);
   }
-  // Snapshot the crash record before any handler runs: the decoded register
-  // file and the heap provenance of the faulting address must reflect the
-  // fault, not whatever the handler changed. The disposition is filed once
-  // the outcome is known.
-  health::ForensicsRecorder* hr = m.forensics();
-  std::optional<health::CrashRecord> crash;
-  if (hr != nullptr) {
-    crash = BuildCrashRecord(t, ctx.compartment(), info->cause,
-                             info->fault_address, info->regs);
-  }
-  const auto file = [&](health::Disposition disposition) {
-    if (!crash.has_value()) {
-      return;
-    }
-    crash->disposition = disposition;
-    const uint64_t seq = hr->Record(std::move(*crash));
-    crash.reset();
-    if (auto* tr = m.trace()) {
-      tr->OnCrashRecord(t.id, static_cast<int>(info->cause),
-                        ctx.compartment(), info->fault_address, seq);
+  const auto file = [&](obs::Disposition disposition) {
+    for (obs::Observer* o : m.observers()) {
+      o->OnTrapDisposition(e, disposition);
     }
   };
   const CompartmentRuntime& rt = boot.compartments[ctx.compartment()];
   if (!rt.def->error_handler || ctx.in_error_handler_) {
     m.Tick(cost::kUnwindNoHandler);
-    file(health::Disposition::kUnwindNoHandler);
+    file(obs::Disposition::kUnwindNoHandler);
     throw UnwindException{};
   }
   m.Tick(cost::kGlobalHandlerFault);
@@ -348,46 +309,16 @@ ErrorRecovery Switcher::DeliverTrap(GuestThread& t, CompartmentCtx& ctx,
     // A buggy handler faulting falls back to the default unwind policy.
     ctx.in_error_handler_ = false;
     m.Tick(cost::kUnwindNoHandler);
-    file(health::Disposition::kHandlerFaulted);
+    file(obs::Disposition::kHandlerFaulted);
     throw UnwindException{true};
   }
   ctx.in_error_handler_ = false;
   if (recovery == ErrorRecovery::kForceUnwind) {
-    file(health::Disposition::kHandlerUnwind);
+    file(obs::Disposition::kHandlerUnwind);
     throw UnwindException{true};
   }
-  file(health::Disposition::kHandlerInstalledContext);
+  file(obs::Disposition::kHandlerInstalledContext);
   return recovery;
-}
-
-health::CrashRecord Switcher::BuildCrashRecord(GuestThread& t, int compartment,
-                                               TrapCode cause,
-                                               Address fault_address,
-                                               const RegisterFile& regs) {
-  health::CrashRecord r;
-  r.thread = static_cast<int16_t>(t.id);
-  r.compartment = compartment;
-  r.cause = cause;
-  r.fault_address = fault_address;
-  r.regs = health::DecodeRegisterFile(regs);
-  r.trusted_depth = t.frame_depth;
-  if (const Allocator::AllocSite* site =
-          system_->alloc().ProvenanceFor(fault_address)) {
-    health::HeapProvenance& p = r.provenance;
-    p.known = true;
-    p.site_id = site->site_id;
-    p.compartment = site->compartment;
-    p.seq = site->seq;
-    p.allocated_at = site->allocated_at;
-    p.size = site->size;
-    p.quota = site->quota;
-    // Allocator::SiteState and HeapProvenance::State share enumerator values
-    // (live=0, quarantined=1, reused=2).
-    p.state = static_cast<health::HeapProvenance::State>(site->state);
-    p.freed_by = site->freed_by;
-    p.freed_at = site->freed_at;
-  }
-  return r;
 }
 
 Status Switcher::EphemeralClaim(GuestThread& t, const Capability& obj) {

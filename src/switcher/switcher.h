@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/firmware/image.h"
-#include "src/health/forensics.h"
 #include "src/kernel/guest_thread.h"
 #include "src/loader/loader.h"
 #include "src/switcher/trusted_stack.h"
@@ -79,13 +78,6 @@ class Switcher {
                     const std::vector<Capability>& args, bool saved_irq,
                     void* posture_guard_opaque);
   void ZeroStackRange(GuestThread& thread, Address from, Address to);
-  // Snapshots a crash record (decoded register file, mirrored call stack,
-  // trusted-stack depth, heap provenance of the faulting address) for the
-  // forensics recorder. Pure observation: no guest cycles, no simulated
-  // memory reads.
-  health::CrashRecord BuildCrashRecord(GuestThread& thread, int compartment,
-                                       TrapCode cause, Address fault_address,
-                                       const RegisterFile& regs);
 
   System* system_;
   uint64_t trap_count_ = 0;

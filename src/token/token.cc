@@ -1,7 +1,6 @@
 #include "src/token/token.h"
 
 #include "src/base/costs.h"
-#include "src/cov/coverage.h"
 #include "src/kernel/system.h"
 
 namespace cheriot {
@@ -44,13 +43,15 @@ Capability TokenService::Unseal(const Capability& key,
   if (vtype != key.cursor()) {
     return Capability();
   }
-  if (auto* cr = m.cov()) {
+  if (!m.observers().empty()) {
     // token_unseal is a library call: it runs in the caller's compartment
     // context, which is exactly the holder the sealing grant names.
     const int thread = system_->current_thread_id();
-    cr->OnSealingUse(
-        thread >= 0 ? system_->threads()[thread].current_compartment : -1,
-        key.cursor(), /*unseal=*/true);
+    const int comp =
+        thread >= 0 ? system_->threads()[thread].current_compartment : -1;
+    for (obs::Observer* o : m.observers()) {
+      o->OnSealingUse(comp, key.cursor(), /*unseal=*/true);
+    }
   }
   // Return a capability to the payload, exclusive of the header.
   Capability payload =
