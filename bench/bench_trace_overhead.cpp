@@ -7,6 +7,7 @@
 // host time only, and BENCH_trace_overhead.json records how much.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/provenance.h"
 #include "src/sim/board.h"
@@ -63,15 +65,41 @@ Result RunOnce(const tools::LintTarget& target, Mode mode) {
   return r;
 }
 
-Result Best(const tools::LintTarget& target, Mode mode, int runs) {
-  Result best = RunOnce(target, mode);
-  for (int i = 1; i < runs; ++i) {
-    Result r = RunOnce(target, mode);
-    if (r.seconds < best.seconds) {
-      best = r;
+// One run takes well under a millisecond, too short a window to resolve a
+// few percent, so a sample is a fixed number of back-to-back runs spanning
+// at least kMinSampleSeconds, and a mode reports the per-run median over
+// kSamples samples, interleaved with the other modes so drift hits all
+// three alike.
+constexpr double kMinSampleSeconds = 0.05;
+constexpr int kSamples = 7;
+
+// Runs per sample: enough off-mode runs to span kMinSampleSeconds, counted
+// on a second pass (the first runs of a process are slower, cold).
+int RunsPerSample(const tools::LintTarget& target) {
+  int runs = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    runs = 0;
+    for (double total = 0; total < kMinSampleSeconds; ++runs) {
+      total += RunOnce(target, Mode::kOff).seconds;
     }
   }
-  return best;
+  return runs;
+}
+
+// Per-run seconds of one sample; `last` keeps the final run's result.
+double SamplePerRun(const tools::LintTarget& target, Mode mode, int runs,
+                    Result* last) {
+  double total = 0;
+  for (int i = 0; i < runs; ++i) {
+    *last = RunOnce(target, mode);
+    total += last->seconds;
+  }
+  return total / runs;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 }  // namespace
@@ -106,9 +134,18 @@ int main(int argc, char** argv) {
   std::printf("=== cheriot-trace host overhead (%s, %llu guest cycles) ===\n",
               target->name.c_str(),
               static_cast<unsigned long long>(kRunCycles));
-  const Result off = Best(*target, Mode::kOff, 5);
-  const Result ring = Best(*target, Mode::kRing, 5);
-  const Result full = Best(*target, Mode::kExport, 5);
+  const int runs = RunsPerSample(*target);
+  Result off, ring, full;
+  std::vector<double> off_s, ring_s, full_s;
+  for (int i = 0; i < kSamples; ++i) {
+    off_s.push_back(SamplePerRun(*target, Mode::kOff, runs, &off));
+    ring_s.push_back(SamplePerRun(*target, Mode::kRing, runs, &ring));
+    full_s.push_back(SamplePerRun(*target, Mode::kExport, runs, &full));
+  }
+  off.seconds = Median(off_s);
+  ring.seconds = Median(ring_s);
+  full.seconds = Median(full_s);
+  std::printf("  (per-run medians of %d samples x %d runs)\n", kSamples, runs);
 
   // The whole point of the recorder is that it never moves a guest cycle.
   // If these ever diverge the numbers below are meaningless — abort loudly.
