@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const tools::LintTarget* target = tools::FindLintTarget("fleet-node");
+  const tools::LintTarget* target = tools::FindTarget("fleet-node");
   if (!target) {
     std::fprintf(stderr, "lint target 'fleet-node' missing\n");
     return 1;

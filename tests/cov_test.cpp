@@ -37,14 +37,14 @@ constexpr Cycles kHorizon = 8'000'000;
 constexpr int kBoards = 2;
 
 FirmwareImage BuildImage(const std::string& name) {
-  const tools::LintTarget* t = tools::FindCovTarget(name);
+  const tools::LintTarget* t = tools::FindTarget(name);
   EXPECT_NE(t, nullptr) << name;
   return t->build();
 }
 
 // Boot on a throwaway machine (loader only, no guest instruction runs) so
 // the TCB service compartments the image's imports resolve against exist —
-// same construction as tools/cheriot_cov.cc.
+// same construction as `cheriot cov --report` (tools/registry_cli.cc).
 json::Value AuditOf(const std::string& name) {
   Machine machine;
   System sys(machine, BuildImage(name));
@@ -52,7 +52,7 @@ json::Value AuditOf(const std::string& name) {
   return audit::BuildReport(sys.boot());
 }
 
-// Same drive cycle tools/cheriot_cov.cc uses: N boards of one image, a
+// Same drive cycle `cheriot cov` uses: N boards of one image, a
 // control publish partway through so network-facing images exercise their
 // subscription path.
 std::unique_ptr<Fleet> MakeCovFleet(const std::string& name, int host_threads,

@@ -243,7 +243,7 @@ TEST(HealthTest, CrashDumpTextNamesFaultAndProvenance) {
 }
 
 std::string FleetReport(int host_threads) {
-  const tools::LintTarget* t = tools::FindLintTarget("fleet-node");
+  const tools::LintTarget* t = tools::FindTarget("fleet-node");
   EXPECT_NE(t, nullptr);
   sim::FleetOptions opts;
   opts.host_threads = host_threads;

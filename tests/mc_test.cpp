@@ -33,10 +33,10 @@ namespace {
 using sim::Board;
 using sim::Fleet;
 using sim::FleetOptions;
-using tools::FindMcTarget;
+using tools::FindTarget;
 
 FirmwareImage BuildImage(const std::string& name) {
-  const tools::LintTarget* t = FindMcTarget(name);
+  const tools::LintTarget* t = FindTarget(name);
   EXPECT_NE(t, nullptr) << name;
   return t->build();
 }
@@ -142,7 +142,7 @@ TEST(McTest, FutexWakeOrderSurvivesSnapshotRestore) {
 // --- The explorer finds every seeded bug, minimally -----------------------
 
 TEST(McTest, FindsSeededLostWakeDeadlockWithOneForcedChoice) {
-  const tools::LintTarget* t = FindMcTarget("seeded-lost-wake");
+  const tools::LintTarget* t = FindTarget("seeded-lost-wake");
   ASSERT_NE(t, nullptr);
   const mc::McReport report = mc::Explore(t->name, t->build, FastOptions());
   ASSERT_FALSE(report.clean());
@@ -154,7 +154,7 @@ TEST(McTest, FindsSeededLostWakeDeadlockWithOneForcedChoice) {
 }
 
 TEST(McTest, FindsSeededWakeOrderDivergenceWithOneForcedChoice) {
-  const tools::LintTarget* t = FindMcTarget("seeded-wake-order");
+  const tools::LintTarget* t = FindTarget("seeded-wake-order");
   ASSERT_NE(t, nullptr);
   const mc::McReport report = mc::Explore(t->name, t->build, FastOptions());
   ASSERT_FALSE(report.clean());
@@ -170,7 +170,7 @@ TEST(McTest, FindsSeededWakeOrderDivergenceWithOneForcedChoice) {
 }
 
 TEST(McTest, FindsSeededQuotaRaceTrapWithOneForcedChoice) {
-  const tools::LintTarget* t = FindMcTarget("seeded-quota-race");
+  const tools::LintTarget* t = FindTarget("seeded-quota-race");
   ASSERT_NE(t, nullptr);
   const mc::McReport report = mc::Explore(t->name, t->build, FastOptions());
   ASSERT_FALSE(report.clean());
@@ -190,7 +190,7 @@ TEST(McTest, FindsSeededQuotaRaceTrapWithOneForcedChoice) {
 // --- Shipped images stay clean; POR actually prunes -----------------------
 
 TEST(McTest, ShippedFleetNodeImageIsCleanWithMajorityPruning) {
-  const tools::LintTarget* t = FindMcTarget("fleet-node");
+  const tools::LintTarget* t = FindTarget("fleet-node");
   ASSERT_NE(t, nullptr);
   const mc::McReport report = mc::Explore(t->name, t->build, FastOptions());
   EXPECT_TRUE(report.clean());
@@ -201,7 +201,7 @@ TEST(McTest, ShippedFleetNodeImageIsCleanWithMajorityPruning) {
 }
 
 TEST(McTest, ReportJsonIsByteStableAcrossRuns) {
-  const tools::LintTarget* t = FindMcTarget("seeded-lost-wake");
+  const tools::LintTarget* t = FindTarget("seeded-lost-wake");
   ASSERT_NE(t, nullptr);
   const std::string a =
       mc::Explore(t->name, t->build, FastOptions()).ToJson().Dump(2);
@@ -211,9 +211,9 @@ TEST(McTest, ReportJsonIsByteStableAcrossRuns) {
 }
 
 // The report bytes are pinned by FNV-1a digest of `ToJson().Dump(2)` (what
-// cheriot_mc writes, less the trailing newline) for the seeded images and the
-// shipped fleet image, at default options and with fault injection, so any
-// change to how schedules are run shows up as a changed report.
+// `cheriot mc` writes, less the trailing newline) for the seeded images and
+// the shipped fleet image, at default options and with fault injection, so
+// any change to how schedules are run shows up as a changed report.
 TEST(McTest, ReportBytesMatchTheGoldenDigests) {
   auto fnv1a = [](const std::string& s) {
     uint64_t h = 1469598103934665603ull;
@@ -233,7 +233,7 @@ TEST(McTest, ReportBytesMatchTheGoldenDigests) {
            {"seeded-wake-order", 0x4cd01f9484854c33ull, 0xe585f811a44fb96aull},
            {"fleet-node", 0x8c380038af872d64ull, 0x3ef9ee9f1e17311aull},
        }) {
-    const tools::LintTarget* t = FindMcTarget(g.image);
+    const tools::LintTarget* t = FindTarget(g.image);
     ASSERT_NE(t, nullptr) << g.image;
     mc::McOptions faults;
     faults.inject_faults = true;
@@ -277,7 +277,7 @@ TEST(McTest, DiffBlobsNamesFirstDivergentSectionAndOffset) {
   EXPECT_EQ(d.divergent[0].name, snap::SectionName(victim->id));
   EXPECT_EQ(d.divergent[0].first_diff_offset, flip);
   // The summary carries the fourcc name and the offset (the human-facing
-  // line `cheriot_snap diff` prints).
+  // line `cheriot snap diff` prints).
   EXPECT_NE(d.summary.find(snap::SectionName(victim->id)), std::string::npos)
       << d.summary;
   EXPECT_NE(d.summary.find(std::to_string(flip)), std::string::npos)

@@ -39,14 +39,14 @@ namespace {
 using sim::Board;
 using sim::Fleet;
 using sim::FleetOptions;
-using tools::FindLintTarget;
+using tools::FindTarget;
 using tools::LintTargets;
 
 constexpr Cycles kSnapAt = 2'000'000;
 constexpr Cycles kHorizon = 4'000'000;
 
 FirmwareImage BuildImage(const std::string& name) {
-  const tools::LintTarget* t = FindLintTarget(name);
+  const tools::LintTarget* t = FindTarget(name);
   EXPECT_NE(t, nullptr) << name;
   return t->build();
 }

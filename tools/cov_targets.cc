@@ -54,13 +54,4 @@ const std::vector<LintTarget>& CovSeededTargets() {
   return kTargets;
 }
 
-const LintTarget* FindCovTarget(const std::string& name) {
-  for (const auto& t : CovSeededTargets()) {
-    if (t.name == name) {
-      return &t;
-    }
-  }
-  return FindLintTarget(name);
-}
-
 }  // namespace cheriot::tools

@@ -1,4 +1,4 @@
-// Seeded over-privileged image for cheriot_cov and the CL010 tests: a
+// Seeded over-privileged image for `cheriot cov` and the CL010 tests: a
 // firmware whose static grant table is deliberately wider than its dynamic
 // behaviour, so the least-privilege report and lint rule CL010 have a known
 // true positive (a dead call import and an untouched MMIO window) to flag.
@@ -12,10 +12,8 @@
 namespace cheriot::tools {
 
 // The seeded images, sorted by name (currently just cov-overprivileged).
+// FindTarget (lint_targets.h) resolves them by name.
 const std::vector<LintTarget>& CovSeededTargets();
-
-// Seeded images first, then the shipped registry; nullptr when unknown.
-const LintTarget* FindCovTarget(const std::string& name);
 
 }  // namespace cheriot::tools
 

@@ -8,6 +8,8 @@
 #include "src/rtos.h"
 #include "src/sim/fleet_app.h"
 #include "src/sync/sync.h"
+#include "tools/cov_targets.h"
+#include "tools/mc_targets.h"
 
 namespace cheriot::tools {
 
@@ -140,10 +142,21 @@ const std::vector<LintTarget>& LintTargets() {
   return kTargets;
 }
 
-const LintTarget* FindLintTarget(const std::string& name) {
-  for (const auto& t : LintTargets()) {
-    if (t.name == name) {
-      return &t;
+const std::vector<LintTarget>& SeededTargets() {
+  static const std::vector<LintTarget> kTargets = [] {
+    std::vector<LintTarget> t = CovSeededTargets();
+    t.insert(t.end(), McSeededTargets().begin(), McSeededTargets().end());
+    return t;
+  }();
+  return kTargets;
+}
+
+const LintTarget* FindTarget(const std::string& name) {
+  for (const auto* list : {&LintTargets(), &SeededTargets()}) {
+    for (const auto& t : *list) {
+      if (t.name == name) {
+        return &t;
+      }
     }
   }
   return nullptr;

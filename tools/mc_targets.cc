@@ -154,13 +154,4 @@ const std::vector<LintTarget>& McSeededTargets() {
   return kTargets;
 }
 
-const LintTarget* FindMcTarget(const std::string& name) {
-  for (const auto& t : McSeededTargets()) {
-    if (t.name == name) {
-      return &t;
-    }
-  }
-  return FindLintTarget(name);
-}
-
 }  // namespace cheriot::tools

@@ -1,11 +1,11 @@
 // Seeded-bug firmware images for cheriot-mc: each contains one deliberate
 // concurrency bug that only manifests under a non-default schedule, so the
 // default run (and every other tool in the repo) sees them behave normally
-// while `cheriot_mc` must find the bug within a small preemption bound.
+// while `cheriot mc` must find the bug within a small preemption bound.
 // They double as regression anchors: if a kernel change makes the explorer
 // stop finding one of these, the explorer (or the kernel) regressed.
 //
-// The CI `mc-images` job runs these as expected-fail targets next to the
+// The CI `image-sweeps` job runs these as expected-fail targets next to the
 // shipped images (tools/lint_targets.h), which must all pass clean.
 #ifndef TOOLS_MC_TARGETS_H_
 #define TOOLS_MC_TARGETS_H_
@@ -29,11 +29,8 @@ namespace cheriot::tools {
 //                      updates in wake order; flipping the FIFO pop order
 //                      changes the UART output -> divergence (1 forced
 //                      choice)
+// FindTarget (lint_targets.h) resolves them by name.
 const std::vector<LintTarget>& McSeededTargets();
-
-// Looks up `name` among the seeded images, then the shipped lint targets.
-// nullptr when unknown.
-const LintTarget* FindMcTarget(const std::string& name);
 
 }  // namespace cheriot::tools
 
