@@ -7,12 +7,11 @@
 // compartment calls per buffer (rising roughly linearly with size); above
 // 32 KiB the revoker becomes the bottleneck; past ~1/3 and ~1/2 of the heap
 // only two / one object(s) fit and every free synchronizes with a full
-// revocation sweep.
-#include <benchmark/benchmark.h>
-
+// revocation sweep. BENCH_alloc_throughput.json records each size's row.
 #include <cstdio>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/rtos.h"
 #include "src/sync/sync.h"
 
@@ -82,23 +81,7 @@ const Word kSizes[] = {64,    128,   256,   512,    1024,  2048,
 
 int main(int argc, char** argv) {
   using namespace cheriot;
-  for (Word size : kSizes) {
-    benchmark::RegisterBenchmark(
-        ("alloc_rate/" + std::to_string(size)).c_str(),
-        [size](benchmark::State& state) {
-          const Sample s = MeasureSize(size);
-          for (auto _ : state) {
-            benchmark::DoNotOptimize(s.mib_per_s);
-          }
-          state.counters["MiBps"] = s.mib_per_s;
-          state.counters["cycles_per_pair"] = s.cycles_per_pair;
-        });
-  }
-  benchmark::Initialize(&argc, argv);
-  // The per-size measurement is deterministic; a single gbench iteration
-  // suffices, so run the table directly for the figure.
-  benchmark::Shutdown();
-
+  const bench::Output out("alloc_throughput", argc, argv);
   std::printf("=== Figure 6b: sustained allocation rate vs allocation size ===\n");
   std::printf("(heap ~228 KiB of 256 KiB SRAM; malloc+free pairs; 33 MHz)\n\n");
   std::printf("  %10s %12s %16s %10s  %s\n", "size(B)", "MiB/s",
@@ -109,14 +92,20 @@ int main(int argc, char** argv) {
     samples.push_back(MeasureSize(size));
     peak = std::max(peak, samples.back().mib_per_s);
   }
+  json::Array rows;
   for (const Sample& s : samples) {
     const int bar = peak > 0 ? static_cast<int>(40 * s.mib_per_s / peak) : 0;
     std::printf("  %10u %12.2f %16.0f %10u  %s\n", s.size, s.mib_per_s,
                 s.cycles_per_pair, s.failures,
                 std::string(static_cast<size_t>(bar), '#').c_str());
+    rows.push_back(json::Object{{"size_bytes", s.size},
+                                {"mib_per_s", s.mib_per_s},
+                                {"cycles_per_pair", s.cycles_per_pair},
+                                {"failures", s.failures}});
   }
   std::printf("\npaper reference: ~5 MiB/s at 1 KiB buffers; throughput "
               "rises with size until ~32 KiB,\nthen the revoker dominates; "
               "past ~80/112 KiB each free synchronizes with a full sweep.\n");
-  return 0;
+  return out.Write({{"unit", "MiB per simulated second; cycles per pair"},
+                    {"sizes", std::move(rows)}});
 }

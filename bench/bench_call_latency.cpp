@@ -1,15 +1,13 @@
 // Fig. 6a reproduction: call and interrupt latencies, measured in simulated
-// cycles on the booted system (google-benchmark harness; the simulated
-// cycle counts are reported as the `sim_cycles` counter — wall time of the
-// host is irrelevant).
+// cycles on the booted system (wall time of the host is irrelevant).
+// BENCH_call_latency.json records the measured cycles.
 //
 // Paper reference points: function call 6, library call 14, empty
 // compartment call 209, +2x256 B stack zeroing 452, 2x1 KiB worst case 1284,
 // interrupt latency 1028 cycles.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
+#include "bench/harness.h"
 #include "src/rtos.h"
 #include "src/sync/sync.h"
 
@@ -170,59 +168,38 @@ double MeasureInterruptLatency() {
   return state->samples.empty() ? 0 : sum / state->samples.size();
 }
 
-void Report(benchmark::State& state, double cycles) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cycles);
-  }
-  state.counters["sim_cycles"] = cycles;
-}
+struct Row {
+  const char* name;
+  const char* key;
+  double (*fn)();
+  const char* paper;
+};
 
-void BM_FunctionCall(benchmark::State& state) {
-  Report(state, MeasureFunctionCall());
-}
-void BM_LibraryCall(benchmark::State& state) {
-  Report(state, MeasureLibraryCall());
-}
-void BM_CompartmentCallEmpty(benchmark::State& state) {
-  Report(state, MeasureCompartmentCall(0));
-}
-void BM_CompartmentCall256B(benchmark::State& state) {
-  Report(state, MeasureCompartmentCall(256));
-}
-void BM_CompartmentCall1KiB(benchmark::State& state) {
-  Report(state, MeasureCompartmentCall(1024));
-}
-void BM_InterruptLatency(benchmark::State& state) {
-  Report(state, MeasureInterruptLatency());
-}
-
-BENCHMARK(BM_FunctionCall);
-BENCHMARK(BM_LibraryCall);
-BENCHMARK(BM_CompartmentCallEmpty);
-BENCHMARK(BM_CompartmentCall256B);
-BENCHMARK(BM_CompartmentCall1KiB);
-BENCHMARK(BM_InterruptLatency);
+const Row kRows[] = {
+    {"function call", "function_call_cycles", MeasureFunctionCall, "6"},
+    {"library call", "library_call_cycles", MeasureLibraryCall, "14"},
+    {"compartment call (empty)", "compartment_call_empty_cycles",
+     [] { return MeasureCompartmentCall(0); }, "209"},
+    {"compartment call (2x256 B stack)", "compartment_call_2x256b_stack_cycles",
+     [] { return MeasureCompartmentCall(256); }, "452"},
+    {"compartment call (2x1 KiB stack)", "compartment_call_2x1kib_stack_cycles",
+     [] { return MeasureCompartmentCall(1024); }, "1284"},
+    {"interrupt latency", "interrupt_latency_cycles", MeasureInterruptLatency, "1028"},
+};
 
 }  // namespace
 }  // namespace cheriot
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
   using namespace cheriot;
+  const bench::Output out("call_latency", argc, argv);
+  json::Object fields = {{"unit", "simulated cycles"}};
   std::printf("\n=== Figure 6a: call and interrupt latencies (cycles) ===\n");
   std::printf("  %-34s %10s %10s\n", "operation", "measured", "paper");
-  std::printf("  %-34s %10.1f %10s\n", "function call", MeasureFunctionCall(), "6");
-  std::printf("  %-34s %10.1f %10s\n", "library call", MeasureLibraryCall(), "14");
-  std::printf("  %-34s %10.1f %10s\n", "compartment call (empty)",
-              MeasureCompartmentCall(0), "209");
-  std::printf("  %-34s %10.1f %10s\n", "compartment call (2x256 B stack)",
-              MeasureCompartmentCall(256), "452");
-  std::printf("  %-34s %10.1f %10s\n", "compartment call (2x1 KiB stack)",
-              MeasureCompartmentCall(1024), "1284");
-  std::printf("  %-34s %10.1f %10s\n", "interrupt latency",
-              MeasureInterruptLatency(), "1028");
-  return 0;
+  for (const Row& row : kRows) {
+    const double cycles = row.fn();
+    std::printf("  %-34s %10.1f %10s\n", row.name, cycles, row.paper);
+    fields[row.key] = cycles;
+  }
+  return out.Write(std::move(fields));
 }

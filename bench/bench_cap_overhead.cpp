@@ -8,10 +8,11 @@
 // (capability-heavy), matrix multiply (word-heavy) and CRC (byte-heavy) —
 // measures CHERIoT cycles, and recomputes the baseline by removing exactly
 // the per-capability-load penalty the paper describes.
-#include <benchmark/benchmark.h>
-
+// BENCH_cap_overhead.json records the cycles and the percentage.
+#include <cmath>
 #include <cstdio>
 
+#include "bench/harness.h"
 #include "src/rtos.h"
 
 namespace cheriot {
@@ -88,7 +89,7 @@ Ablation RunWorkload() {
           }
           ctx.Burn(18 * cost::kInstruction);  // 8 shift/xor rounds
         }
-        benchmark::DoNotOptimize(acc + crc);
+        bench::DoNotOptimize(acc + crc);
 
         out->cheriot_cycles = static_cast<double>(ctx.Now() - t0);
         out->cap_loads = mem.cap_load_count();
@@ -117,19 +118,7 @@ Ablation RunWorkload() {
 
 int main(int argc, char** argv) {
   using namespace cheriot;
-  benchmark::RegisterBenchmark("coremark_ablation", [](benchmark::State& state) {
-    const Ablation a = RunWorkload();
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(a.cheriot_cycles);
-    }
-    state.counters["cheriot_cycles"] = a.cheriot_cycles;
-    state.counters["baseline_cycles"] = a.baseline_cycles;
-    state.counters["overhead_pct"] = a.overhead_percent();
-  });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
+  const bench::Output out("cap_overhead", argc, argv);
   const Ablation a = RunWorkload();
   std::printf("\n=== §5.3 hardware-performance ablation (CoreMark-style) ===\n");
   std::printf("  CHERIoT cycles:  %.0f\n", a.cheriot_cycles);
@@ -140,5 +129,11 @@ int main(int argc, char** argv) {
   std::printf("  overhead: %.2f%%   (paper: 20.65%% on CoreMark; ~8%% load "
               "filter + ~8%% bus width + rest compiler/temporal)\n",
               a.overhead_percent());
-  return 0;
+  // Both cycle counts are whole numbers held in doubles.
+  return out.Write(
+      {{"unit", "simulated cycles"},
+       {"cheriot_cycles", std::lround(a.cheriot_cycles)},
+       {"baseline_cycles", std::lround(a.baseline_cycles)},
+       {"cap_loads", a.cap_loads},
+       {"cheriot_vs_baseline_pct", a.overhead_percent()}});
 }

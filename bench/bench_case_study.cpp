@@ -10,11 +10,13 @@
 // (our simulated network round-trips are milliseconds, not seconds); the
 // *shape* — idle network phases, the handshake-bound setup spike, the
 // micro-reboot dip and recovery — is the reproduction target.
+// BENCH_case_study.json records every number the report prints.
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/compat/posix_shim.h"
 #include "src/debug/debug.h"
 #include "src/js/minivm.h"
@@ -152,8 +154,9 @@ EntryFn AppMain(std::shared_ptr<AppState> state) {
 }  // namespace
 }  // namespace cheriot
 
-int main() {
+int main(int argc, char** argv) {
   using namespace cheriot;
+  const bench::Output out("case_study", argc, argv);
   Machine machine;
   net::NetWorld world(machine);
   auto state = std::make_shared<AppState>();
@@ -240,18 +243,23 @@ int main() {
   }
 
   // --- Report. ---
+  const double data_kb = (stats.globals_bytes + stats.stack_bytes +
+                          stats.trusted_stack_bytes + stats.metadata_bytes) /
+                         1024.0;
   std::printf("=== Figure 7: full-system CPU load for an IoT deployment ===\n");
   std::printf("compartments: %zu (paper: 13)   code+data: %.0f KB code, "
               "%.1f KB data+stacks, heap %u KB\n",
-              compartments, stats.code_bytes / 1024.0,
-              (stats.globals_bytes + stats.stack_bytes +
-               stats.trusted_stack_bytes + stats.metadata_bytes) /
-                  1024.0,
+              compartments, stats.code_bytes / 1024.0, data_kb,
               stats.heap_bytes / 1024);
+  json::Object fields = {{"compartments", compartments},
+                         {"code_kb", stats.code_bytes / 1024.0},
+                         {"data_stacks_kb", data_kb},
+                         {"heap_kb", stats.heap_bytes / 1024}};
 
   std::printf("\nExecution phases (timeline compressed vs paper, see header):\n");
   std::printf("  %-14s %10s %10s %10s\n", "phase", "start(s)", "length(s)",
               "avg load");
+  json::Array phases;
   for (size_t i = 0; i < state->phases.size(); ++i) {
     const double start =
         static_cast<double>(state->phases[i].start) / cost::kCoreHz;
@@ -267,36 +275,50 @@ int main() {
         ++load_n;
       }
     }
+    const double load_pct = load_n > 0 ? 100.0 * load_sum / load_n : 0.0;
     std::printf("  %-14s %10.2f %10.2f %9.0f%%\n",
-                state->phases[i].name.c_str(), start, end - start,
-                load_n > 0 ? 100.0 * load_sum / load_n : 0.0);
+                state->phases[i].name.c_str(), start, end - start, load_pct);
+    phases.push_back(json::Object{{"name", state->phases[i].name},
+                                  {"start_s", start},
+                                  {"length_s", end - start},
+                                  {"load_pct", load_pct}});
   }
+  fields["phases"] = std::move(phases);
 
   std::printf("\nCPU load timeline (250 ms samples):\n");
+  json::Array samples;
   for (const auto& s : timeline) {
     const int bar = static_cast<int>(s.load * 50);
     std::printf("  %6.2fs %5.1f%% %s\n", s.seconds, 100 * s.load,
                 std::string(static_cast<size_t>(bar < 0 ? 0 : bar), '#')
                     .c_str());
+    samples.push_back(
+        json::Object{{"time_s", s.seconds}, {"load_pct", 100 * s.load}});
   }
+  fields["timeline"] = std::move(samples);
 
   const auto* tcpip = sys.boot().FindCompartment("tcpip");
+  const double orchestration_s =
+      tcpip->reboot_count
+          ? static_cast<double>(tcpip->last_reboot_duration) / cost::kCoreHz
+          : 0.0;
   std::printf("\nMicro-reboot: count=%u, orchestration=%.4f s (unwind + "
               "heap_free_all + globals reset)\n",
-              tcpip->reboot_count,
-              tcpip->reboot_count
-                  ? static_cast<double>(tcpip->last_reboot_duration) /
-                        cost::kCoreHz
-                  : 0.0);
+              tcpip->reboot_count, orchestration_s);
+  fields["reboots"] = tcpip->reboot_count;
+  fields["reboot_orchestration_s"] = orchestration_s;
   if (stack_restored_at != 0 && pod_at != 0) {
+    const double back_after_s =
+        static_cast<double>(stack_restored_at - pod_at) / cost::kCoreHz;
     std::printf("Network stack back on the air (DHCP redone) %.3f s after "
                 "the attack (paper: 0.27 s)\n",
-                static_cast<double>(stack_restored_at - pod_at) /
-                    cost::kCoreHz);
+                back_after_s);
+    fields["stack_back_after_s"] = back_after_s;
   }
   if (pod_at != 0) {
-    std::printf("ping-of-death injected at t=%.2f s\n",
-                static_cast<double>(pod_at) / cost::kCoreHz);
+    const double pod_at_s = static_cast<double>(pod_at) / cost::kCoreHz;
+    std::printf("ping-of-death injected at t=%.2f s\n", pod_at_s);
+    fields["ping_of_death_at_s"] = pod_at_s;
   }
   std::printf("notifications handled by the JS VM: %d (LED events: %zu)\n",
               state->notifications, machine.leds().events().size());
@@ -305,8 +327,15 @@ int main() {
   for (const auto& s : timeline) {
     total_load += s.load;
   }
+  const double average_load_pct =
+      timeline.empty() ? 0 : 100 * total_load / timeline.size();
   std::printf("average CPU load over the run: %.1f%% (paper: 46.5%% over "
               "52 s, mostly waiting on the network)\n",
-              timeline.empty() ? 0 : 100 * total_load / timeline.size());
-  return state->failed ? 1 : 0;
+              average_load_pct);
+  fields["notifications"] = state->notifications;
+  fields["led_events"] = machine.leds().events().size();
+  fields["reconnects"] = state->reconnects;
+  fields["average_load_pct"] = average_load_pct;
+  const int rc = out.Write(std::move(fields));
+  return state->failed ? 1 : rc;
 }

@@ -1,10 +1,9 @@
 // Table 3 reproduction: average latencies of the core CHERIoT RTOS APIs
 // (opaque objects, allocation, interface hardening, error handling), in
-// simulated CPU cycles.
-#include <benchmark/benchmark.h>
-
+// simulated CPU cycles. BENCH_core_apis.json records the measured cycles.
 #include <cstdio>
 
+#include "bench/harness.h"
 #include "src/rtos.h"
 #include "src/sync/sync.h"
 
@@ -58,7 +57,7 @@ double MeasureUnseal() {
     const Capability key = ctx.TokenKeyNew();
     const Capability obj = ctx.TokenObjNew(q, key, 32);
     return Average(ctx, 50, [&] {
-      benchmark::DoNotOptimize(ctx.TokenUnseal(key, obj));
+      bench::DoNotOptimize(ctx.TokenUnseal(key, obj));
     });
   });
 }
@@ -80,7 +79,7 @@ double MeasureSealedAlloc() {
 
 double MeasureKeyNew() {
   return RunGuestBench([](CompartmentCtx& ctx) {
-    return Average(ctx, 20, [&] { benchmark::DoNotOptimize(ctx.TokenKeyNew()); });
+    return Average(ctx, 20, [&] { bench::DoNotOptimize(ctx.TokenKeyNew()); });
   });
 }
 
@@ -92,7 +91,7 @@ double MeasureDeprivilege() {
     const Cycles t0 = ctx.Now();
     for (int i = 0; i < 100; ++i) {
       ctx.Burn(cost::kInstruction * 4);  // candidate: 2 bounds + 2 perms ops
-      benchmark::DoNotOptimize(hardening::ImmutableNoCapture(g));
+      bench::DoNotOptimize(hardening::ImmutableNoCapture(g));
     }
     return static_cast<double>(ctx.Now() - t0) / 100;
   });
@@ -103,7 +102,7 @@ double MeasureCheckPointer() {
     const Capability g = ctx.globals();
     const Cycles t0 = ctx.Now();
     for (int i = 0; i < 100; ++i) {
-      benchmark::DoNotOptimize(hardening::CheckPointerCosted(
+      bench::DoNotOptimize(hardening::CheckPointerCosted(
           ctx.machine(), g, 16,
           PermissionSet({Permission::kLoad, Permission::kStore})));
     }
@@ -177,11 +176,10 @@ double MeasureUnwindNoHandler() {
 double MeasureGlobalHandlerFault() {
   return RunGuestBench(
       [](CompartmentCtx& ctx) {
-        const Capability g = ctx.globals();
         // Handler corrects the authority, so the op resumes (install-context).
         const Cycles t0 = ctx.Now();
         for (int i = 0; i < 20; ++i) {
-          benchmark::DoNotOptimize(ctx.LoadWord(Capability::FromWord(1), 0));
+          bench::DoNotOptimize(ctx.LoadWord(Capability::FromWord(1), 0));
         }
         return static_cast<double>(ctx.Now() - t0) / 20 -
                2 * cost::kLoadWord;  // the faulting + retried loads
@@ -209,51 +207,49 @@ double MeasureScopedFault() {
 struct Row {
   const char* section;
   const char* name;
+  const char* key;
   double (*fn)();
   const char* paper;
 };
 
 const Row kRows[] = {
-    {"Opaque Objects", "Unseal an object", MeasureUnseal, "44.8"},
-    {"Opaque Objects", "Allocate a sealed object", MeasureSealedAlloc, "2432.2"},
-    {"Opaque Objects", "Allocate a new key", MeasureKeyNew, "688"},
-    {"Interface Hardening", "De-privilege a pointer", MeasureDeprivilege, "<10"},
-    {"Interface Hardening", "Check a pointer", MeasureCheckPointer, "44"},
-    {"Interface Hardening", "Ephemeral claim", MeasureEphemeralClaim, "182"},
-    {"Interface Hardening", "Heap claim + unclaim", MeasureClaimUnclaim, "3714"},
-    {"Error Handling", "Fault + unwind (no handler)", MeasureUnwindNoHandler, "109"},
-    {"Error Handling", "Fault + resume (global handler)", MeasureGlobalHandlerFault, "413"},
-    {"Error Handling", "Scoped handler, non-error path", MeasureScopedNonError, "87"},
-    {"Error Handling", "Scoped handler, fault", MeasureScopedFault, "222"},
+    {"Opaque Objects", "Unseal an object", "unseal_cycles", MeasureUnseal, "44.8"},
+    {"Opaque Objects", "Allocate a sealed object", "sealed_alloc_cycles",
+     MeasureSealedAlloc, "2432.2"},
+    {"Opaque Objects", "Allocate a new key", "key_new_cycles", MeasureKeyNew, "688"},
+    {"Interface Hardening", "De-privilege a pointer", "deprivilege_cycles",
+     MeasureDeprivilege, "<10"},
+    {"Interface Hardening", "Check a pointer", "check_pointer_cycles",
+     MeasureCheckPointer, "44"},
+    {"Interface Hardening", "Ephemeral claim", "ephemeral_claim_cycles",
+     MeasureEphemeralClaim, "182"},
+    {"Interface Hardening", "Heap claim + unclaim", "claim_unclaim_cycles",
+     MeasureClaimUnclaim, "3714"},
+    {"Error Handling", "Fault + unwind (no handler)", "unwind_no_handler_cycles",
+     MeasureUnwindNoHandler, "109"},
+    {"Error Handling", "Fault + resume (global handler)",
+     "resume_global_handler_cycles", MeasureGlobalHandlerFault, "413"},
+    {"Error Handling", "Scoped handler, non-error path",
+     "scoped_non_error_cycles", MeasureScopedNonError, "87"},
+    {"Error Handling", "Scoped handler, fault", "scoped_fault_cycles",
+     MeasureScopedFault, "222"},
 };
-
-void RegisterAll() {
-  for (const Row& row : kRows) {
-    benchmark::RegisterBenchmark(row.name, [&row](benchmark::State& state) {
-      const double cycles = row.fn();
-      for (auto _ : state) {
-        benchmark::DoNotOptimize(cycles);
-      }
-      state.counters["sim_cycles"] = cycles;
-    });
-  }
-}
 
 }  // namespace
 }  // namespace cheriot
 
 int main(int argc, char** argv) {
-  cheriot::RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
+  using namespace cheriot;
+  const bench::Output out("core_apis", argc, argv);
+  json::Object fields = {{"unit", "simulated cycles"}};
   std::printf("\n=== Table 3: average latencies of core APIs (cycles) ===\n");
   std::printf("  %-22s %-32s %10s %10s\n", "API", "operation", "measured",
               "paper");
-  for (const auto& row : cheriot::kRows) {
-    std::printf("  %-22s %-32s %10.1f %10s\n", row.section, row.name,
-                row.fn(), row.paper);
+  for (const Row& row : kRows) {
+    const double cycles = row.fn();
+    std::printf("  %-22s %-32s %10.1f %10s\n", row.section, row.name, cycles,
+                row.paper);
+    fields[row.key] = cycles;
   }
-  return 0;
+  return out.Write(std::move(fields));
 }

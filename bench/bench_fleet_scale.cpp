@@ -25,19 +25,15 @@
 // from EXPERIMENTS.md. It prints how the bring-up's epoch time splits
 // between stepping boards and the serial frame exchange, and exits 1 if any
 // board misses its lease. Off by default; it is a demo, not a benchmark.
-#include <benchmark/benchmark.h>
-
-#include <cerrno>
-#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench/provenance.h"
+#include "bench/harness.h"
 #include "src/base/costs.h"
 #include "src/sim/fleet.h"
 #include "src/sim/fleet_app.h"
@@ -50,11 +46,6 @@ constexpr int kBusyPublishes = 64;
 constexpr int kPublishGoal = 1 + kBusyPublishes;  // announce + burst
 constexpr Cycles kMaxHorizon = 60 * cost::kCoreHz;
 constexpr Cycles kIdleHorizon = 60 * cost::kCoreHz;
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 struct Result {
   int threads;
@@ -110,7 +101,7 @@ void FillCycleSplit(sim::Fleet& fleet, Result* r) {
 
 Result RunBusyConfig(int host_threads) {
   FleetUnderTest f = MakeFleet(kBoards, host_threads, kBusyPublishes);
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = bench::Clock::now();
   const bool completed = f.fleet->RunUntil(
       [&] {
         for (const auto& s : f.states) {
@@ -123,10 +114,10 @@ Result RunBusyConfig(int host_threads) {
       kMaxHorizon);
   Result r;
   r.threads = host_threads;
-  r.seconds = SecondsSince(t0);
+  r.seconds = bench::SecondsSince(t0);
   r.completed = completed;
   FillCycleSplit(*f.fleet, &r);
-  benchmark::DoNotOptimize(r.frames);
+  bench::DoNotOptimize(r.frames);
   return r;
 }
 
@@ -155,17 +146,17 @@ Result RunIdleConfig(bool fast_forward) {
   for (size_t i = 0; i < f.fleet->size(); ++i) {
     cycles_before += f.fleet->board(i).Now();
   }
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = bench::Clock::now();
   f.fleet->Run(kIdleHorizon);
   Result r;
   r.threads = 1;
-  r.seconds = SecondsSince(t0);
+  r.seconds = bench::SecondsSince(t0);
   r.completed = true;
   FillCycleSplit(*f.fleet, &r);
   r.sim_cycles -= cycles_before;  // time only the idle span
   r.barriers -= barriers_before;
   unsetenv("CHERIOT_FLEET_FAST_FORWARD");
-  benchmark::DoNotOptimize(r.frames);
+  bench::DoNotOptimize(r.frames);
   return r;
 }
 
@@ -174,7 +165,7 @@ Result RunIdleConfig(bool fast_forward) {
 bool RunDemo(int boards) {
   std::printf("=== fleet demo: %d boards, bring-up + 10 idle seconds ===\n",
               boards);
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = bench::Clock::now();
   FleetUnderTest f = MakeFleet(boards, /*host_threads=*/4,
                                /*busy_publishes=*/0);
   const bool up = f.fleet->RunUntil(
@@ -187,12 +178,12 @@ bool RunDemo(int boards) {
         return true;
       },
       kMaxHorizon);
-  const double bringup = SecondsSince(t0);
+  const double bringup = bench::SecondsSince(t0);
   const double step = f.fleet->host_step_seconds();
   const double exchange = f.fleet->host_exchange_seconds();
-  const auto t1 = std::chrono::steady_clock::now();
+  const auto t1 = bench::Clock::now();
   f.fleet->Run(10 * cost::kCoreHz);
-  const double idle = SecondsSince(t1);
+  const double idle = bench::SecondsSince(t1);
   Result r;
   r.seconds = bringup + idle;
   FillCycleSplit(*f.fleet, &r);
@@ -214,29 +205,16 @@ bool RunDemo(int boards) {
 
 int main(int argc, char** argv) {
   using namespace cheriot;
-  const char* json_path = "BENCH_fleet_scale.json";
   int demo_boards = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--demo-boards=", 14) == 0) {
-      demo_boards = std::atoi(argv[i] + 14);
+  const bench::Output out("fleet_scale", argc, argv, [&](tools::Cli& cli) {
+    if (cli.Number("--demo-boards", &demo_boards) && demo_boards < 1) {
+      throw tools::UsageError("--demo-boards must be at least 1");
     }
-  }
+  });
   if (demo_boards > 0) {
     return RunDemo(demo_boards) ? 0 : 1;
   }
-
-  // Reach steady-state CPU frequency before timing anything.
-  {
-    volatile uint64_t sink = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    while (SecondsSince(t0) < 0.5) {
-      for (int i = 0; i < 4096; ++i) {
-        sink += i;
-      }
-    }
-  }
+  bench::WarmUpCpu();
 
   std::printf(
       "=== fleet scaling: %d boards, busy phase = bring-up + %d publishes "
@@ -250,14 +228,13 @@ int main(int argc, char** argv) {
       hw < static_cast<unsigned>(kThreadCounts[2]);
   std::vector<Result> results;
   for (int threads : kThreadCounts) {
-    // Best of three: the minimum is least disturbed by host scheduling noise.
-    Result best = RunBusyConfig(threads);
-    for (int run = 1; run < 3; ++run) {
-      Result r = RunBusyConfig(threads);
-      if (r.seconds < best.seconds) {
-        best = r;
-      }
-    }
+    // Best of three. Every run of one configuration simulates the same
+    // cycles; only the host seconds differ.
+    Result best;
+    best.seconds = bench::BestOf(3, [&] {
+      best = RunBusyConfig(threads);
+      return best.seconds;
+    });
     std::printf(
         "  threads=%d  %8.1f M sim-cycles/s  %8.0f frames/s  "
         "%llu barriers  busy/idle = %llu/%llu Mcycles  (%.3f s%s)\n",
@@ -294,44 +271,25 @@ int main(int argc, char** argv) {
       idle_on.cycles_per_sec() / 1e6,
       static_cast<unsigned long long>(idle_on.barriers), idle_speedup);
 
-  FILE* f = std::fopen(json_path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write '%s': %s\n", json_path,
-                 std::strerror(errno));
-    return 1;
-  }
-  std::fprintf(f, "{\n%s", bench::ProvenanceJson().c_str());
-  std::fprintf(f, "  \"bench\": \"fleet_scale\",\n");
-  std::fprintf(f,
-               "  \"unit\": \"aggregate simulated cycles per host second\",\n");
-  std::fprintf(f, "  \"boards\": %d,\n", kBoards);
-  std::fprintf(f, "  \"busy_publishes\": %d,\n", kBusyPublishes);
-  std::fprintf(f, "  \"host_hardware_concurrency\": %u,\n", hw);
-  std::fprintf(f, "  \"host_undersized\": %s,\n",
-               host_undersized ? "true" : "false");
+  json::Object fields = {
+      {"unit", "aggregate simulated cycles per host second"},
+      {"boards", kBoards},
+      {"busy_publishes", kBusyPublishes},
+      {"host_hardware_concurrency", hw},
+      {"host_undersized", host_undersized},
+      {"idle_ff_off_cycles_per_sec", std::lround(idle_off.cycles_per_sec())},
+      {"idle_ff_off_barriers", idle_off.barriers},
+      {"idle_ff_on_cycles_per_sec", std::lround(idle_on.cycles_per_sec())},
+      {"idle_ff_on_barriers", idle_on.barriers},
+      {"idle_ff_speedup", idle_speedup},
+      {"speedup_4_vs_1", speedup_4_vs_1}};
   for (const Result& r : results) {
-    std::fprintf(f, "  \"threads_%d_cycles_per_sec\": %.0f,\n", r.threads,
-                 r.cycles_per_sec());
-    std::fprintf(f, "  \"threads_%d_frames_per_sec\": %.0f,\n", r.threads,
-                 r.frames_per_sec());
-    std::fprintf(f, "  \"threads_%d_busy_cycles\": %llu,\n", r.threads,
-                 static_cast<unsigned long long>(r.busy_cycles));
-    std::fprintf(f, "  \"threads_%d_idle_cycles\": %llu,\n", r.threads,
-                 static_cast<unsigned long long>(r.idle_cycles));
-    std::fprintf(f, "  \"threads_%d_barriers\": %llu,\n", r.threads,
-                 static_cast<unsigned long long>(r.barriers));
+    const std::string key = "threads_" + std::to_string(r.threads) + "_";
+    fields[key + "cycles_per_sec"] = std::lround(r.cycles_per_sec());
+    fields[key + "frames_per_sec"] = std::lround(r.frames_per_sec());
+    fields[key + "busy_cycles"] = r.busy_cycles;
+    fields[key + "idle_cycles"] = r.idle_cycles;
+    fields[key + "barriers"] = r.barriers;
   }
-  std::fprintf(f, "  \"idle_ff_off_cycles_per_sec\": %.0f,\n",
-               idle_off.cycles_per_sec());
-  std::fprintf(f, "  \"idle_ff_off_barriers\": %llu,\n",
-               static_cast<unsigned long long>(idle_off.barriers));
-  std::fprintf(f, "  \"idle_ff_on_cycles_per_sec\": %.0f,\n",
-               idle_on.cycles_per_sec());
-  std::fprintf(f, "  \"idle_ff_on_barriers\": %llu,\n",
-               static_cast<unsigned long long>(idle_on.barriers));
-  std::fprintf(f, "  \"idle_ff_speedup\": %.3f,\n", idle_speedup);
-  std::fprintf(f, "  \"speedup_4_vs_1\": %.3f\n}\n", speedup_4_vs_1);
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path);
-  return 0;
+  return out.Write(std::move(fields));
 }

@@ -5,8 +5,10 @@
 // Data-side numbers (globals, stacks, trusted stacks, import/export
 // metadata) are *measured* from the loader's layout; code sizes are the
 // modelled per-component sizes (see EXPERIMENTS.md for the accounting).
+// BENCH_memory_usage.json records the measured numbers.
 #include <cstdio>
 
+#include "bench/harness.h"
 #include "src/debug/debug.h"
 #include "src/net/netstack.h"
 #include "src/rtos.h"
@@ -82,18 +84,25 @@ Address PerCompartmentOverhead() {
   return s2.boot().stats.metadata_bytes - s1.boot().stats.metadata_bytes;
 }
 
-void PrintStats(const char* title, const ImageStats& s, double paper_kb) {
+// Prints one image's table and returns its numbers for the JSON.
+json::Object PrintStats(const char* title, const ImageStats& s,
+                        double paper_kb) {
   std::printf("\n%s\n", title);
   std::printf("  %-18s %10s %10s %10s\n", "component", "code(B)", "wrapper%",
               "data(B)");
   uint32_t code_total = 0;
+  json::Array components;
   for (size_t i = 0; i < s.components.size(); ++i) {
     const auto& [name, sizes] = s.components[i];
     const auto& [code, wrapper] = sizes;
     code_total += code;
+    const double wrapper_pct = code > 0 ? 100.0 * wrapper / code : 0.0;
     std::printf("  %-18s %10u %9.0f%% %10u\n", name.c_str(), code,
-                code > 0 ? 100.0 * wrapper / code : 0.0,
-                s.data_sizes[i].second);
+                wrapper_pct, s.data_sizes[i].second);
+    components.push_back(json::Object{{"name", name},
+                                      {"code_bytes", code},
+                                      {"wrapper_pct", wrapper_pct},
+                                      {"data_bytes", s.data_sizes[i].second}});
   }
   std::printf("  %-18s %10u\n", "TOTAL code", code_total);
   std::printf("  measured data: globals=%u B, stacks=%u B, trusted stacks=%u B,"
@@ -109,13 +118,23 @@ void PrintStats(const char* title, const ImageStats& s, double paper_kb) {
   std::printf("  overall: %.1f KB   (paper: %.1f KB)\n", total_kb, paper_kb);
   std::printf("  heap remaining: %u KB of 256 KB SRAM\n",
               s.layout.heap_bytes / 1024);
+  return {{"components", std::move(components)},
+          {"code_total_bytes", code_total},
+          {"globals_bytes", s.layout.globals_bytes},
+          {"stack_bytes", s.layout.stack_bytes},
+          {"trusted_stack_bytes", s.layout.trusted_stack_bytes},
+          {"metadata_bytes", s.layout.metadata_bytes},
+          {"sealed_object_bytes", s.layout.sealed_object_bytes},
+          {"overall_kb", total_kb},
+          {"heap_remaining_kb", s.layout.heap_bytes / 1024}};
 }
 
 }  // namespace
 }  // namespace cheriot
 
-int main() {
+int main(int argc, char** argv) {
   using namespace cheriot;
+  const bench::Output out("memory_usage", argc, argv);
   std::printf("=== Table 2: code and data size of CHERIoT RTOS components ===\n");
   std::printf("(code sizes modelled per component; data sizes measured from the"
               " loader layout)\n");
@@ -129,16 +148,20 @@ int main() {
               "switcher", "1400", "0");
 
   const ImageStats base = Measure(BaseImage());
-  PrintStats("-- Base system (paper: 25.9 KB code + 3.7 KB data) --", base,
-             29.6);
+  json::Object base_json = PrintStats(
+      "-- Base system (paper: 25.9 KB code + 3.7 KB data) --", base, 29.6);
 
   const ImageStats net = Measure(NetworkImage());
-  PrintStats("-- Base + network stack (paper: 151.8 KB code + 20.4 KB data) --",
-             net, 172.2);
+  json::Object net_json = PrintStats(
+      "-- Base + network stack (paper: 151.8 KB code + 20.4 KB data) --", net,
+      172.2);
 
   const Address overhead = PerCompartmentOverhead();
   std::printf("\nPer-compartment overhead: %u B  (paper: 83 B; Tock: 164 B)\n",
               overhead);
   std::printf("Compartments in networked image: %zu\n", net.compartments);
-  return 0;
+  return out.Write({{"base_system", std::move(base_json)},
+                    {"base_plus_network", std::move(net_json)},
+                    {"per_compartment_bytes", overhead},
+                    {"network_compartments", net.compartments}});
 }

@@ -13,28 +13,20 @@
 // access hook, linear MMIO scan over std::function handlers, vector<bool>
 // tag/revocation bitmaps, per-granule tag-clear loop) on the same workload
 // mix, so the JSON carries a measured fast-vs-naive speedup in every run.
-#include <benchmark/benchmark.h>
-
-#include <cerrno>
-#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "bench/provenance.h"
+#include "bench/harness.h"
 #include "src/rtos.h"
 
 namespace cheriot {
 namespace {
 
 constexpr int kWindowBytes = 16 * 1024;
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 // --- Workloads over the real memory system --------------------------------
 // Each returns the number of simulated accesses performed.
@@ -66,7 +58,7 @@ uint64_t WordTraffic(Harness& h, int iters) {
     for (Address off = 0; off < kWindowBytes; off += 4) {
       acc += mem.LoadWord(h.root, base + off);
     }
-    benchmark::DoNotOptimize(acc);
+    bench::DoNotOptimize(acc);
   }
   return static_cast<uint64_t>(iters) * 2 * (kWindowBytes / 4);
 }
@@ -84,7 +76,7 @@ uint64_t ByteHalfTraffic(Harness& h, int iters) {
       mem.StoreHalf(h.root, base + 0x1000 + off, static_cast<uint16_t>(off));
       acc += mem.LoadHalf(h.root, base + 0x1000 + off);
     }
-    benchmark::DoNotOptimize(acc);
+    bench::DoNotOptimize(acc);
   }
   return static_cast<uint64_t>(iters) *
          (2 * (kWindowBytes / 4) + (kWindowBytes / 4));
@@ -103,7 +95,7 @@ uint64_t CapTraffic(Harness& h, int iters) {
     for (int i = 0; i < slots; ++i) {
       any ^= mem.LoadCap(h.root, base + 8 * i).tag();
     }
-    benchmark::DoNotOptimize(any);
+    bench::DoNotOptimize(any);
   }
   return static_cast<uint64_t>(iters) * 2 * slots;
 }
@@ -120,7 +112,7 @@ uint64_t MmioTraffic(Harness& h, int iters) {
       acc += mem.LoadWord(uart, kUartMmioBase + 4);  // status poll
       mem.StoreWord(led, kLedMmioBase, i & 0xFF);
     }
-    benchmark::DoNotOptimize(acc);
+    bench::DoNotOptimize(acc);
   }
   return static_cast<uint64_t>(iters) * 2 * 512;
 }
@@ -262,7 +254,7 @@ uint64_t NaiveWordTraffic(NaiveMemory& mem, const Capability& root,
     for (Address off = 0; off < kWindowBytes; off += 4) {
       acc += mem.LoadWord(root, base + off);
     }
-    benchmark::DoNotOptimize(acc);
+    bench::DoNotOptimize(acc);
   }
   return static_cast<uint64_t>(iters) * 2 * (kWindowBytes / 4);
 }
@@ -280,23 +272,11 @@ template <typename Fn>
 Result Measure(const std::string& name, Fn&& body) {
   body(2);  // warm-up
   // Scale iterations so each timed run takes ~0.3 s.
-  const auto probe0 = std::chrono::steady_clock::now();
-  body(8);
-  const double probe = SecondsSince(probe0) / 8;
+  const double probe = bench::Time([&] { body(8); }) / 8;
   const int iters = std::max(8, static_cast<int>(0.3 / std::max(probe, 1e-9)));
-  // Best of five timed runs: the minimum wall-clock is the least disturbed
-  // by scheduling noise (and, on virtualized hosts, hypervisor steal time).
   uint64_t accesses = 0;
-  double secs = 0;
-  for (int run = 0; run < 5; ++run) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const uint64_t n = body(iters);
-    const double s = SecondsSince(t0);
-    if (run == 0 || s < secs) {
-      accesses = n;
-      secs = s;
-    }
-  }
+  const double secs = bench::BestOf(
+      5, [&] { return bench::Time([&] { accesses = body(iters); }); });
   std::printf("  %-18s %9.3f M accesses/s  (%llu accesses in %.3f s)\n",
               name.c_str(), accesses / secs / 1e6,
               static_cast<unsigned long long>(accesses), secs);
@@ -308,25 +288,8 @@ Result Measure(const std::string& name, Fn&& body) {
 
 int main(int argc, char** argv) {
   using namespace cheriot;
-  const char* json_path = "BENCH_sim_throughput.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    }
-  }
-
-  // Spin for a moment before timing anything so the host core reaches its
-  // steady-state frequency; otherwise the first workload measured pays the
-  // ramp-up and the comparison between early and late workloads skews.
-  {
-    volatile uint64_t sink = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    while (SecondsSince(t0) < 0.5) {
-      for (int i = 0; i < 4096; ++i) {
-        sink += i;
-      }
-    }
-  }
+  const bench::Output out("sim_throughput", argc, argv);
+  bench::WarmUpCpu();
 
   std::printf("=== simulator memory-system throughput (host wall-clock) ===\n");
   std::vector<Result> results;
@@ -374,30 +337,20 @@ int main(int argc, char** argv) {
   const Result naive_result = Measure("naive_word_rw", [&](int it) {
     return NaiveWordTraffic(naive, naive_root, kBase, it);
   });
-  benchmark::DoNotOptimize(naive_hook_hits);
-  benchmark::DoNotOptimize(naive_bg.work);
+  bench::DoNotOptimize(naive_hook_hits);
+  bench::DoNotOptimize(naive_bg.work);
 
   const Result& fast_word = results[0];
   const double speedup = fast_word.per_sec() / naive_result.per_sec();
   std::printf("  fast-path speedup vs naive dispatch (word_rw): %.2fx\n",
               speedup);
 
-  FILE* f = std::fopen(json_path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write '%s': %s\n", json_path,
-                 std::strerror(errno));
-    return 1;
-  }
-  std::fprintf(f, "{\n%s", bench::ProvenanceJson().c_str());
-  std::fprintf(f, "  \"bench\": \"sim_throughput\",\n");
-  std::fprintf(f, "  \"unit\": \"simulated accesses per host second\",\n");
+  json::Object fields = {
+      {"unit", "simulated accesses per host second"},
+      {"naive_word_rw_per_sec", std::lround(naive_result.per_sec())},
+      {"speedup_vs_naive_word_rw", speedup}};
   for (const Result& r : results) {
-    std::fprintf(f, "  \"%s_per_sec\": %.0f,\n", r.name.c_str(), r.per_sec());
+    fields[r.name + "_per_sec"] = std::lround(r.per_sec());
   }
-  std::fprintf(f, "  \"naive_word_rw_per_sec\": %.0f,\n",
-               naive_result.per_sec());
-  std::fprintf(f, "  \"speedup_vs_naive_word_rw\": %.3f\n}\n", speedup);
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path);
-  return 0;
+  return out.Write(std::move(fields));
 }

@@ -1,23 +1,18 @@
-// bench_all: run every benchmark target in one invocation and validate the
-// provenance stamp (git SHA, build type, UTC timestamp) in each emitted
-// BENCH_*.json. The CI bench-all job runs this non-gating and uploads the
-// JSON artifacts so the paper-figure numbers carry their origin with them.
-//
-// Five benches emit machine-readable BENCH_*.json (bench_sim_throughput,
-// bench_fleet_scale, bench_trace_overhead, bench_flow_overhead,
-// bench_snapshot); the rest print their tables to stdout and are only
-// checked for a clean exit. --quick passes
-// --benchmark_min_time=0.01 to the google-benchmark targets so a smoke run
-// stays under a minute.
+// bench_all: run every bench that bench/CMakeLists.txt declares, in that
+// order, each with --json=OUT_DIR/BENCH_<name>.json, and validate the
+// provenance stamp (git SHA, build type, UTC timestamp) of every file. The
+// CI bench-all job runs this and uploads the JSON, so each number carries its
+// origin with it.
 //
 // --compare=DIR diffs each emitted JSON against the checked-in baseline
 // (bench/baselines/BENCH_<name>.json). Host-timing keys — names containing
 // per_sec / seconds / overhead / speedup — get a relative tolerance band
 // (--tolerance, default 0.75: CI runners vary a lot, so only gross
 // regressions fail); every other key is guest-deterministic and must match
-// exactly; keys appearing on only one side fail (schema drift must update
-// the baseline). Host-environment keys (provenance,
-// host_hardware_concurrency, host_undersized) are skipped.
+// exactly, which gates the paper's numbers (Table 2, Fig. 6a, Table 3,
+// Fig. 6b, the §5.3 ablation and Fig. 7); keys appearing on only one side
+// fail (schema drift must update the baseline). Host-environment keys
+// (provenance, host_hardware_concurrency, host_undersized) are skipped.
 //
 // Exit codes: 0 all benches ran and every emitted JSON validated (and, with
 // --compare, stayed inside the band), 1 a bench failed, a provenance field
@@ -28,38 +23,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <exception>
 #include <string>
 #include <vector>
 
 #include "src/json/json.h"
+#include "tools/registry_cli.h"
 
 namespace {
-
-struct BenchTarget {
-  std::string name;
-  bool gbench;      // accepts google-benchmark flags
-  bool emits_json;  // accepts --json=PATH and writes BENCH_<name>.json
-};
-
-// Every target bench/CMakeLists.txt builds, in a fixed run order.
-const std::vector<BenchTarget>& BenchTargets() {
-  static const std::vector<BenchTarget> targets = {
-      {"bench_memory_usage", false, false},
-      {"bench_call_latency", true, false},
-      {"bench_core_apis", true, false},
-      {"bench_alloc_throughput", true, false},
-      {"bench_cap_overhead", true, false},
-      {"bench_case_study", false, false},
-      {"bench_sim_throughput", false, true},
-      {"bench_fleet_scale", false, true},
-      {"bench_trace_overhead", false, true},
-      {"bench_flow_overhead", false, true},
-      {"bench_snapshot", false, true},
-  };
-  return targets;
-}
 
 void Usage(std::FILE* out) {
   std::fprintf(out,
@@ -71,8 +42,6 @@ void Usage(std::FILE* out) {
                "  --out-dir=DIR   where BENCH_*.json land (default .)\n"
                "  --only=NAME[,NAME...]  run a subset\n"
                "  --skip=NAME[,NAME...]  skip targets\n"
-               "  --quick         pass --benchmark_min_time=0.01 to the\n"
-               "                  google-benchmark targets\n"
                "  --compare=DIR   diff each emitted JSON against the\n"
                "                  baseline BENCH_*.json in DIR; host-timing\n"
                "                  keys get a tolerance band, the rest must\n"
@@ -80,27 +49,6 @@ void Usage(std::FILE* out) {
                "  --tolerance=F   relative band for host-timing keys with\n"
                "                  --compare (default 0.75)\n"
                "  --list          list bench targets and exit\n");
-}
-
-std::vector<std::string> SplitCsv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) {
-      out.push_back(item);
-    }
-  }
-  return out;
-}
-
-bool Contains(const std::vector<std::string>& v, const std::string& s) {
-  for (const auto& e : v) {
-    if (e == s) {
-      return true;
-    }
-  }
-  return false;
 }
 
 bool IsHex40(const std::string& s) {
@@ -115,7 +63,7 @@ bool IsHex40(const std::string& s) {
   return true;
 }
 
-// "2026-08-06T12:34:56Z" — the exact shape bench/provenance.h emits.
+// "2026-08-06T12:34:56Z" — the exact shape bench/harness.h emits.
 bool IsUtcStamp(const std::string& s) {
   static const char* pattern = "dddd-dd-ddTdd:dd:ddZ";
   if (s.size() != std::strlen(pattern)) {
@@ -134,23 +82,8 @@ bool IsUtcStamp(const std::string& s) {
 }
 
 // Validates the provenance block of one emitted BENCH_*.json.
-bool ValidateProvenance(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "bench_all: %s: bench exited 0 but wrote no JSON\n",
-                 path.c_str());
-    return false;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  cheriot::json::Value doc;
-  try {
-    doc = cheriot::json::Parse(ss.str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_all: %s: malformed JSON: %s\n", path.c_str(),
-                 e.what());
-    return false;
-  }
+bool ValidateProvenance(const std::string& path,
+                        const cheriot::json::Value& doc) {
   if (!doc.Has("provenance")) {
     std::fprintf(stderr, "bench_all: %s: missing \"provenance\"\n",
                  path.c_str());
@@ -227,19 +160,12 @@ bool IsNumber(const cheriot::json::Value& v) {
          v.type() == cheriot::json::Value::Type::kDouble;
 }
 
-bool LoadJsonFile(const std::string& path, cheriot::json::Value* doc) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "bench_all: cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
+// Reads and parses one JSON file; prints why and returns false if it cannot.
+bool LoadJson(const std::string& path, cheriot::json::Value* doc) {
   try {
-    *doc = cheriot::json::Parse(ss.str());
+    *doc = cheriot::json::Parse(cheriot::tools::ReadFile(path));
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_all: %s: malformed JSON: %s\n", path.c_str(),
-                 e.what());
+    std::fprintf(stderr, "bench_all: %s: %s\n", path.c_str(), e.what());
     return false;
   }
   return true;
@@ -352,119 +278,91 @@ bool CompareValues(const std::string& ctx, const cheriot::json::Value& base,
   return ok;
 }
 
-// Diffs one emitted BENCH_*.json against bench/baselines/BENCH_*.json.
-bool CompareAgainstBaseline(const std::string& json_path,
-                            const std::string& baseline_path,
-                            double tolerance) {
-  cheriot::json::Value base;
-  cheriot::json::Value fresh;
-  if (!LoadJsonFile(baseline_path, &base) ||
-      !LoadJsonFile(json_path, &fresh)) {
-    return false;
-  }
-  if (!CompareValues("", base, fresh, tolerance)) {
-    return false;
-  }
-  std::printf("  compare ok: %s within %.0f%% of %s\n", json_path.c_str(),
-              tolerance * 100.0, baseline_path.c_str());
-  return true;
+// A non-negative decimal such as "2" or "0.75".
+bool ParseTolerance(const std::string& text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return !text.empty() && text.find_first_not_of("0123456789.") ==
+                              std::string::npos &&
+         *end == '\0';
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  namespace tools = cheriot::tools;
+  tools::Cli cli("bench_all", {argv + 1, argv + argc});
+  const std::vector<std::string> benches = tools::SplitCsv(CHERIOT_BENCHES);
+  if (cli.Has("--help") || cli.Has("-h")) {
+    Usage(stdout);
+    return 0;
+  }
+  if (cli.Has("--list")) {
+    for (const std::string& name : benches) {
+      std::printf("%s\n", name.c_str());
+    }
+    return 0;
+  }
   std::string bin_dir = ".";
   std::string out_dir = ".";
   std::string compare_dir;
   double tolerance = 0.75;
-  std::vector<std::string> only;
-  std::vector<std::string> skip;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* flag) -> const char* {
-      const size_t n = std::strlen(flag);
-      return arg.compare(0, n, flag) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (const char* v = value("--bin-dir=")) {
-      bin_dir = v;
-    } else if (const char* v = value("--out-dir=")) {
-      out_dir = v;
-    } else if (const char* v = value("--only=")) {
-      for (auto& t : SplitCsv(v)) {
-        only.push_back(t);
-      }
-    } else if (const char* v = value("--skip=")) {
-      for (auto& t : SplitCsv(v)) {
-        skip.push_back(t);
-      }
-    } else if (arg == "--quick") {
-      quick = true;
-    } else if (const char* v = value("--compare=")) {
-      compare_dir = v;
-    } else if (const char* v = value("--tolerance=")) {
-      char* end = nullptr;
-      tolerance = std::strtod(v, &end);
-      if (end == v || *end != '\0' || tolerance < 0) {
-        std::fprintf(stderr, "bench_all: bad --tolerance value %s\n", v);
-        return 2;
-      }
-    } else if (arg == "--list") {
-      for (const auto& t : BenchTargets()) {
-        std::printf("%-24s%s%s\n", t.name.c_str(),
-                    t.gbench ? " [gbench]" : "",
-                    t.emits_json ? " [json]" : "");
-      }
-      return 0;
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(stdout);
-      return 0;
-    } else {
-      std::fprintf(stderr, "bench_all: unknown option %s\n", arg.c_str());
-      Usage(stderr);
-      return 2;
+  const std::vector<std::string> only = cli.Names("--only");
+  const std::vector<std::string> skip = cli.Names("--skip");
+  try {
+    cli.Text("--bin-dir", &bin_dir);
+    cli.Text("--out-dir", &out_dir);
+    cli.Text("--compare", &compare_dir);
+    std::string text;
+    if (cli.Text("--tolerance", &text) && !ParseTolerance(text, &tolerance)) {
+      throw tools::UsageError("bad --tolerance value " + text);
     }
+    cli.RejectUnused();
+  } catch (const tools::UsageError& e) {
+    std::fprintf(stderr, "bench_all: %s\n", e.what());
+    Usage(stderr);
+    return 2;
   }
 
   int ran = 0;
   int failed = 0;
-  for (const auto& t : BenchTargets()) {
-    if (!only.empty() && !Contains(only, t.name)) {
+  for (const std::string& name : benches) {
+    const auto listed = [&name](const std::vector<std::string>& names) {
+      return std::find(names.begin(), names.end(), name) != names.end();
+    };
+    if ((!only.empty() && !listed(only)) || listed(skip)) {
       continue;
     }
-    if (Contains(skip, t.name)) {
-      continue;
-    }
-    std::string json_path;
-    std::string cmd = bin_dir + "/" + t.name;
-    if (t.gbench && quick) {
-      cmd += " --benchmark_min_time=0.01";
-    }
-    if (t.emits_json) {
-      json_path = out_dir + "/BENCH_" + t.name.substr(6) + ".json";
-      cmd += " --json=" + json_path;
-    }
+    const std::string file = "BENCH_" + name.substr(6) + ".json";
+    const std::string json_path = out_dir + "/" + file;
+    const std::string cmd = bin_dir + "/" + name + " --json=" + json_path;
     std::printf("=== %s ===\n", cmd.c_str());
     std::fflush(stdout);
     const int rc = std::system(cmd.c_str());
     ++ran;
     if (rc != 0) {
       std::fprintf(stderr, "bench_all: %s exited with status %d\n",
-                   t.name.c_str(), rc);
+                   name.c_str(), rc);
       ++failed;
       continue;
     }
-    if (t.emits_json && !ValidateProvenance(json_path)) {
+    cheriot::json::Value fresh;
+    if (!LoadJson(json_path, &fresh) || !ValidateProvenance(json_path, fresh)) {
       ++failed;
       continue;
     }
-    if (t.emits_json && !compare_dir.empty()) {
-      const std::string baseline =
-          compare_dir + "/BENCH_" + t.name.substr(6) + ".json";
-      if (!CompareAgainstBaseline(json_path, baseline, tolerance)) {
-        ++failed;
-      }
+    if (compare_dir.empty()) {
+      continue;
     }
+    const std::string baseline = compare_dir + "/" + file;
+    cheriot::json::Value base;
+    if (!LoadJson(baseline, &base) ||
+        !CompareValues("", base, fresh, tolerance)) {
+      ++failed;
+      continue;
+    }
+    std::printf("  compare ok: %s within %.0f%% of %s\n", json_path.c_str(),
+                tolerance * 100.0, baseline.c_str());
   }
   if (ran == 0) {
     std::fprintf(stderr, "bench_all: no targets selected\n");

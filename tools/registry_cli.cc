@@ -36,6 +36,16 @@ std::vector<std::string> Cli::Values(const std::string& flag) {
   return out;
 }
 
+std::vector<std::string> Cli::Names(const std::string& flag) {
+  std::vector<std::string> out;
+  for (const std::string& v : Values(flag)) {
+    for (std::string& name : SplitCsv(v)) {
+      out.push_back(std::move(name));
+    }
+  }
+  return out;
+}
+
 bool Cli::Text(const std::string& flag, std::string* out) {
   std::vector<std::string> v = Values(flag);
   if (v.empty()) {
@@ -65,19 +75,18 @@ std::string Cli::Word() {
   return args_[0];
 }
 
-std::vector<const LintTarget*> Cli::Targets(bool required) {
-  const bool all = Has("--all");
-  std::vector<std::string> names;
-  for (const std::string& v : Values("--target")) {
-    for (std::string& name : SplitCsv(v)) {
-      names.push_back(std::move(name));
-    }
-  }
+void Cli::RejectUnused() const {
   for (size_t i = 0; i < args_.size(); ++i) {
     if (!used_[i]) {
       throw UsageError("unknown option " + args_[i]);
     }
   }
+}
+
+std::vector<const LintTarget*> Cli::Targets(bool required) {
+  const bool all = Has("--all");
+  const std::vector<std::string> names = Names("--target");
+  RejectUnused();
   std::vector<const LintTarget*> out;
   if (all) {
     for (const LintTarget& t : LintTargets()) {

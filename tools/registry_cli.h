@@ -47,20 +47,27 @@ class Cli {
   bool Has(const std::string& flag);
   // Every "--flag=V" value, in command-line order.
   std::vector<std::string> Values(const std::string& flag);
+  // Every name in every "--flag=A,B,..." value, in command-line order.
+  std::vector<std::string> Names(const std::string& flag);
   // The last "--flag=V" value into *out; false (*out untouched) if absent.
   bool Text(const std::string& flag, std::string* out);
   // Text() for a number: V must be all decimal digits and fit T, otherwise
   // the command line is malformed (UsageError).
   template <typename T>
-  void Number(const std::string& flag, T* out) {
+  bool Number(const std::string& flag, T* out) {
     std::string v;
-    if (Text(flag, &v)) {
-      const auto max = static_cast<uint64_t>(std::numeric_limits<T>::max());
-      *out = static_cast<T>(Decimal(flag, v, max));
+    if (!Text(flag, &v)) {
+      return false;
     }
+    const auto max = static_cast<uint64_t>(std::numeric_limits<T>::max());
+    *out = static_cast<T>(Decimal(flag, v, max));
+    return true;
   }
   // The leading word when it is not a flag (snap's save/restore/...), or "".
   std::string Word();
+
+  // Rejects the arguments no call above consumed (UsageError).
+  void RejectUnused() const;
 
   // Rejects unconsumed arguments, then resolves --all (the shipped images)
   // and every --target=NAME[,NAME...] (shipped or seeded). An unknown name,
