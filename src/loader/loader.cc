@@ -453,9 +453,10 @@ std::unique_ptr<BootInfo> Loader::Load(Machine& machine, FirmwareImage image) {
     if (rt.def->state_factory) {
       rt.state = rt.def->state_factory();
     }
-    rt.globals_snapshot.resize(rt.globals_size);
-    std::memcpy(rt.globals_snapshot.data(), mem.raw(rt.globals_base),
-                rt.globals_size);
+    // assign, not memcpy: a compartment without globals has an empty
+    // snapshot, whose null data() memcpy may not be given even for 0 bytes.
+    const uint8_t* globals = mem.raw(rt.globals_base);
+    rt.globals_snapshot.assign(globals, globals + rt.globals_size);
   }
 
   // --- Self-erase (§3.1.1): scratch becomes heap -------------------------------

@@ -178,6 +178,20 @@ TEST(Loader, HeapIsZeroedAtBoot) {
   }
 }
 
+// Table 2's per-compartment-overhead images have compartments without
+// globals; their snapshot is empty (under UBSan, copying into it must not
+// pass a null destination).
+TEST(Loader, CompartmentWithoutGlobalsHasAnEmptySnapshot) {
+  ImageBuilder b("no-globals");
+  b.Compartment("a").CodeSize(512).Globals(0).Export("main", Nop(), 256);
+  b.Compartment("b").CodeSize(512).Globals(32).Export("main", Nop(), 256);
+  b.Thread("main", 1, 1024, 4, "a.main");
+  Machine machine;
+  auto boot = Loader::Load(machine, b.Build());
+  EXPECT_TRUE(boot->compartments[0].globals_snapshot.empty());
+  EXPECT_EQ(boot->compartments[1].globals_snapshot.size(), 32u);
+}
+
 TEST(Loader, PerCompartmentMetadataIsSmall) {
   Machine machine;
   auto boot = Loader::Load(machine, TwoCompartmentImage());
