@@ -101,21 +101,20 @@ void FillCycleSplit(sim::Fleet& fleet, Result* r) {
 
 Result RunBusyConfig(int host_threads) {
   FleetUnderTest f = MakeFleet(kBoards, host_threads, kBusyPublishes);
-  const auto t0 = bench::Clock::now();
-  const bool completed = f.fleet->RunUntil(
-      [&] {
-        for (const auto& s : f.states) {
-          if (s->publishes < kPublishGoal) {
-            return false;
-          }
-        }
-        return true;
-      },
-      kMaxHorizon);
   Result r;
+  r.seconds = bench::Time([&] {
+    r.completed = f.fleet->RunUntil(
+        [&] {
+          for (const auto& s : f.states) {
+            if (s->publishes < kPublishGoal) {
+              return false;
+            }
+          }
+          return true;
+        },
+        kMaxHorizon);
+  });
   r.threads = host_threads;
-  r.seconds = bench::SecondsSince(t0);
-  r.completed = completed;
   FillCycleSplit(*f.fleet, &r);
   bench::DoNotOptimize(r.frames);
   return r;
@@ -146,11 +145,9 @@ Result RunIdleConfig(bool fast_forward) {
   for (size_t i = 0; i < f.fleet->size(); ++i) {
     cycles_before += f.fleet->board(i).Now();
   }
-  const auto t0 = bench::Clock::now();
-  f.fleet->Run(kIdleHorizon);
   Result r;
+  r.seconds = bench::Time([&] { f.fleet->Run(kIdleHorizon); });
   r.threads = 1;
-  r.seconds = bench::SecondsSince(t0);
   r.completed = true;
   FillCycleSplit(*f.fleet, &r);
   r.sim_cycles -= cycles_before;  // time only the idle span
@@ -165,25 +162,24 @@ Result RunIdleConfig(bool fast_forward) {
 bool RunDemo(int boards) {
   std::printf("=== fleet demo: %d boards, bring-up + 10 idle seconds ===\n",
               boards);
-  const auto t0 = bench::Clock::now();
-  FleetUnderTest f = MakeFleet(boards, /*host_threads=*/4,
-                               /*busy_publishes=*/0);
-  const bool up = f.fleet->RunUntil(
-      [&] {
-        for (const auto& s : f.states) {
-          if (!s->ready) {
-            return false;
+  FleetUnderTest f;
+  bool up = false;
+  const double bringup = bench::Time([&] {
+    f = MakeFleet(boards, /*host_threads=*/4, /*busy_publishes=*/0);
+    up = f.fleet->RunUntil(
+        [&] {
+          for (const auto& s : f.states) {
+            if (!s->ready) {
+              return false;
+            }
           }
-        }
-        return true;
-      },
-      kMaxHorizon);
-  const double bringup = bench::SecondsSince(t0);
+          return true;
+        },
+        kMaxHorizon);
+  });
   const double step = f.fleet->host_step_seconds();
   const double exchange = f.fleet->host_exchange_seconds();
-  const auto t1 = bench::Clock::now();
-  f.fleet->Run(10 * cost::kCoreHz);
-  const double idle = bench::SecondsSince(t1);
+  const double idle = bench::Time([&] { f.fleet->Run(10 * cost::kCoreHz); });
   Result r;
   r.seconds = bringup + idle;
   FillCycleSplit(*f.fleet, &r);

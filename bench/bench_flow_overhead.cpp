@@ -38,24 +38,25 @@ Result RunOnce(const tools::LintTarget& target, int mode) {
   for (int i = 0; i < kBoards; ++i) {
     fleet.AddBoard(target.build());
   }
-  const auto t0 = bench::Clock::now();
-  fleet.Boot();
-  const Cycles chunk = kRunCycles / (kControlPublishes + 1);
-  for (int i = 0; i <= kControlPublishes; ++i) {
-    fleet.Run(chunk);
-    if (i < kControlPublishes) {
-      fleet.PublishMqtt("leds", {'c', 'm', 'd', static_cast<uint8_t>('0' + i)});
-    }
-  }
   std::string exported;
-  if (mode == kExport) {
-    flow::FlowRecorder* fr = fleet.flow_recorder();
-    exported = fr->FlowTableJson().Dump(2);
-    exported += fr->HistogramsJson().Dump(2);
-    exported += fr->MetricsJson().Dump(2);
-  }
   Result r;
-  r.seconds = bench::SecondsSince(t0);
+  r.seconds = bench::Time([&] {
+    fleet.Boot();
+    const Cycles chunk = kRunCycles / (kControlPublishes + 1);
+    for (int i = 0; i <= kControlPublishes; ++i) {
+      fleet.Run(chunk);
+      if (i < kControlPublishes) {
+        fleet.PublishMqtt("leds",
+                          {'c', 'm', 'd', static_cast<uint8_t>('0' + i)});
+      }
+    }
+    if (mode == kExport) {
+      flow::FlowRecorder* fr = fleet.flow_recorder();
+      exported = fr->FlowTableJson().Dump(2);
+      exported += fr->HistogramsJson().Dump(2);
+      exported += fr->MetricsJson().Dump(2);
+    }
+  });
   if (flow::FlowRecorder* fr = fleet.flow_recorder()) {
     r.flows = fr->flow_count();
     r.deliveries = fr->deliveries();

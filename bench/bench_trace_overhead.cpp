@@ -33,18 +33,18 @@ Result RunOnce(const tools::LintTarget& target, int mode) {
   if (mode != kOff) {
     rec = board.EnableTrace({});
   }
-  const auto t0 = bench::Clock::now();
-  board.Boot();
-  board.StepTo(kRunCycles);
   std::string exported;
-  if (mode == kExport) {
-    exported = trace::ChromeTrace(*rec).Dump(2);
-    exported += trace::MetricsSnapshot(*rec).Dump(2);
-    exported += trace::ProfileText(*rec);
-    exported += trace::CollapsedStacksText(*rec);
-  }
   Result r;
-  r.seconds = bench::SecondsSince(t0);
+  r.seconds = bench::Time([&] {
+    board.Boot();
+    board.StepTo(kRunCycles);
+    if (mode == kExport) {
+      exported = trace::ChromeTrace(*rec).Dump(2);
+      exported += trace::MetricsSnapshot(*rec).Dump(2);
+      exported += trace::ProfileText(*rec);
+      exported += trace::CollapsedStacksText(*rec);
+    }
+  });
   r.emitted = rec ? rec->emitted() : 0;
   r.fingerprint = board.fingerprint();
   bench::DoNotOptimize(exported);

@@ -43,10 +43,13 @@ template <typename T>
   asm volatile("" : "+m,r"(v) : : "memory");
 }
 
-using Clock = std::chrono::steady_clock;
-
-inline double SecondsSince(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
+// Host seconds one call of `fn` takes.
+template <typename Fn>
+double Time(Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 // Spins for half a second so the host core reaches its steady-state
@@ -54,20 +57,14 @@ inline double SecondsSince(Clock::time_point t0) {
 // pays the ramp-up and early and late workloads compare unfairly.
 inline void WarmUpCpu() {
   uint64_t sink = 0;
-  for (const auto t0 = Clock::now(); SecondsSince(t0) < 0.5;) {
-    for (int i = 0; i < 4096; ++i) {
-      sink += i;
-      DoNotOptimize(sink);
-    }
+  for (double spun = 0; spun < 0.5;) {
+    spun += Time([&] {
+      for (int i = 0; i < 4096; ++i) {
+        sink += i;
+        DoNotOptimize(sink);
+      }
+    });
   }
-}
-
-// Host seconds one call of `fn` takes.
-template <typename Fn>
-double Time(Fn&& fn) {
-  const auto t0 = Clock::now();
-  fn();
-  return SecondsSince(t0);
 }
 
 // The least of `runs` calls of `sample`, each returning the host seconds it

@@ -140,6 +140,13 @@ TEST_F(CliTest, BenchUsageErrorsExitTwo) {
   const std::string bench_dir = CHERIOT_BENCH_DIR;
   EXPECT_EQ(Bench(CHERIOT_BENCH_ALL, "--quick" + OutDir()), 2);
   EXPECT_EQ(Bench(CHERIOT_BENCH_ALL, "--tolerance=-1" + OutDir()), 2);
+  // A misspelt or renamed bench must not quietly shrink the run.
+  EXPECT_EQ(Bench(CHERIOT_BENCH_ALL,
+                  "--only=bench_call_latency,bench_no_such" + OutDir()),
+            2);
+  EXPECT_EQ(Bench(CHERIOT_BENCH_ALL,
+                  "--only=bench_call_latency --skip=bench_no_such" + OutDir()),
+            2);
   EXPECT_EQ(Bench(bench_dir + "/bench_fleet_scale", "--demo-boards=abc"), 2);
   EXPECT_EQ(Bench(bench_dir + "/bench_fleet_scale", "--demo-boards=0"), 2);
   EXPECT_EQ(Bench(bench_dir + "/bench_snapshot", "--jsn=x"), 2);

@@ -40,7 +40,8 @@ void Usage(std::FILE* out) {
                "                  (default: directory of this binary's\n"
                "                  invocation, i.e. '.')\n"
                "  --out-dir=DIR   where BENCH_*.json land (default .)\n"
-               "  --only=NAME[,NAME...]  run a subset\n"
+               "  --only=NAME[,NAME...]  run a subset (names from --list;\n"
+               "                  an unknown one is a usage error)\n"
                "  --skip=NAME[,NAME...]  skip targets\n"
                "  --compare=DIR   diff each emitted JSON against the\n"
                "                  baseline BENCH_*.json in DIR; host-timing\n"
@@ -316,6 +317,13 @@ int main(int argc, char** argv) {
     std::string text;
     if (cli.Text("--tolerance", &text) && !ParseTolerance(text, &tolerance)) {
       throw tools::UsageError("bad --tolerance value " + text);
+    }
+    for (const auto* names : {&only, &skip}) {
+      for (const std::string& name : *names) {
+        if (std::find(benches.begin(), benches.end(), name) == benches.end()) {
+          throw tools::UsageError("unknown bench '" + name + "' (--list)");
+        }
+      }
     }
     cli.RejectUnused();
   } catch (const tools::UsageError& e) {
