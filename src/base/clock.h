@@ -1,6 +1,6 @@
-// The simulated cycle clock. All hardware-model components (revoker, timer,
-// network world) register tick hooks so that "background" work advances in
-// lock-step with CPU execution, as it does on the real core.
+// The simulated cycle clock. The SoC's background hardware (revoker, timer,
+// NIC wire) runs from its tick hook so that it advances in lock-step with CPU
+// execution, as it does on the real core.
 #ifndef SRC_BASE_CLOCK_H_
 #define SRC_BASE_CLOCK_H_
 
@@ -17,10 +17,9 @@ class CycleClock {
  public:
   // Called with the number of cycles that just elapsed.
   using TickHook = std::function<void(Cycles delta)>;
-  // Raw-function-pointer variant for the SoC's own background work (revoker
-  // + timer), which runs on every tick of every simulated access. It always
-  // fires before the std::function hooks, matching the registration order
-  // the Machine constructor used to rely on.
+  // Raw-function-pointer variant for the SoC's own background work (revoker,
+  // timer, NIC wire), which runs on every tick of every simulated access. It
+  // always fires before the std::function hooks (the trace profiler's).
   using RawTickHook = void (*)(void* ctx, Cycles delta);
 
   Cycles now() const { return now_; }
@@ -39,9 +38,9 @@ class CycleClock {
     }
     if (hooks_.empty()) {
       if (raw_hook_) {
-        // No reentrancy guard needed here: the raw hook (revoker + timer
-        // background work) never ticks the clock, and with no std::function
-        // hooks registered nothing else can re-enter.
+        // No reentrancy guard needed here: the raw hook (background
+        // hardware and the observers it notifies) never ticks the clock, and
+        // with no std::function hooks registered nothing else can re-enter.
         raw_hook_(raw_hook_ctx_, delta);
       }
       return;

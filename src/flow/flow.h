@@ -38,7 +38,8 @@ namespace cheriot::flow {
 struct FlowId {
   // `origin` sentinels. kGateway marks frames the gateway emitted (replies,
   // forwards, broker fan-out); kNone marks frames outside the provenance
-  // plumbing (e.g. a test's hand-built HostInject) — recorders ignore those.
+  // plumbing (e.g. a test frame injected with the default id) — recorders
+  // ignore those.
   static constexpr int16_t kGateway = -1;
   static constexpr int16_t kNone = -32768;
 
@@ -151,9 +152,8 @@ class MetricsSeries {
 
 // Assembles per-frame flow records and message spans from the observation
 // hooks below. Single-threaded by contract: the Fleet calls every hook at
-// epoch barriers (board-index order), the NetWorld from its one guest
-// thread. Never consulted on guest-visible paths — detaching it cannot move
-// a cycle, attaching it cannot either.
+// epoch barriers (board-index order). Never consulted on guest-visible
+// paths — detaching it cannot move a cycle, attaching it cannot either.
 class FlowRecorder {
  public:
   static constexpr int kSchemaVersion = 1;

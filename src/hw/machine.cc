@@ -10,7 +10,7 @@ Machine::Machine(const MachineConfig& config)
       leds_(&clock_),
       timer_(&clock_, &irqs_),
       revoker_(&memory_, &irqs_, &observers_),
-      ethernet_(&irqs_) {
+      ethernet_(&clock_, &irqs_, &observers_) {
   uart_.set_echo(config.uart_echo);
 
   memory_.AddMmioRegion(kUartMmioBase, kMmioRegionSize,
@@ -26,14 +26,16 @@ Machine::Machine(const MachineConfig& config)
   memory_.AddMmioRegion(kEntropyMmioBase, kMmioRegionSize,
                         [this](Address o, bool s, Word v) { return entropy_.Mmio(o, s, v); });
 
-  // Background hardware advances with the clock. Registered as the raw hook:
-  // this dispatch happens on every simulated access, so it must not pay a
-  // std::function indirection.
+  // Background hardware (revoker, timer, NIC wire) advances with the clock,
+  // in that order within a tick. Registered as the raw hook: this dispatch
+  // happens on every simulated access, so it must not pay a std::function
+  // indirection.
   clock_.SetRawHook(
       [](void* self, Cycles delta) {
         auto* machine = static_cast<Machine*>(self);
         machine->revoker_.Advance(delta);
         machine->timer_.Poll();
+        machine->ethernet_.Poll();
       },
       this);
 }
@@ -52,32 +54,17 @@ void Machine::Attach(obs::Observer* observer) {
   observer->OnAttach(*this);
 }
 
-bool Machine::HasFutureEvent() const {
-  return timer_.armed() || HasFutureEventIgnoringTimer();
-}
-
 bool Machine::HasFutureEventIgnoringTimer() const {
-  if (revoker_.sweeping()) {
-    return true;
-  }
-  for (const auto& source : next_event_sources_) {
-    if (source().has_value()) {
-      return true;
-    }
-  }
-  return false;
+  return revoker_.sweeping() || ethernet_.next_arrival().has_value();
 }
 
 std::optional<Cycles> Machine::NextHardwareEvent() const {
-  std::optional<Cycles> next;
+  std::optional<Cycles> next = ethernet_.next_arrival();
   if (revoker_.sweeping()) {
-    next = clock_.now() + std::max<Cycles>(revoker_.CyclesUntilDone(), 1);
-  }
-  for (const auto& source : next_event_sources_) {
-    if (auto n = source()) {
-      if (!next || *n < *next) {
-        next = *n;
-      }
+    const Cycles done =
+        clock_.now() + std::max<Cycles>(revoker_.CyclesUntilDone(), 1);
+    if (!next || done < *next) {
+      next = done;
     }
   }
   return next;
@@ -95,10 +82,8 @@ Cycles Machine::AdvanceIdle(Cycles max_skip, bool ignore_timer) {
   if (revoker_.sweeping()) {
     target = std::min(target, now + std::max<Cycles>(revoker_.CyclesUntilDone(), 1));
   }
-  for (auto& source : next_event_sources_) {
-    if (auto next = source()) {
-      target = std::min(target, std::max(*next, now + 1));
-    }
+  if (auto next = ethernet_.next_arrival()) {
+    target = std::min(target, std::max(*next, now + 1));
   }
   if (target <= now) {
     target = now + 1;

@@ -4,10 +4,7 @@
 #ifndef SRC_HW_MACHINE_H_
 #define SRC_HW_MACHINE_H_
 
-#include <functional>
-#include <memory>
 #include <optional>
-#include <vector>
 
 #include "src/base/clock.h"
 #include "src/base/costs.h"
@@ -27,10 +24,6 @@ struct MachineConfig {
 
 class Machine {
  public:
-  // Components may publish the absolute cycle of their next pending event so
-  // the idle loop can skip time deterministically.
-  using NextEventFn = std::function<std::optional<Cycles>()>;
-
   explicit Machine(const MachineConfig& config = {});
 
   CycleClock& clock() { return clock_; }
@@ -41,17 +34,18 @@ class Machine {
   Timer& timer() { return timer_; }
   Revoker& revoker() { return revoker_; }
   EthernetDevice& ethernet() { return ethernet_; }
+  const EthernetDevice& ethernet() const { return ethernet_; }
   EntropySource& entropy() { return entropy_; }
   const MachineConfig& config() const { return config_; }
 
-  // Advances simulated time (CPU executing); background hooks (revoker,
-  // timer, registered world models) run in lock-step.
+  // Advances simulated time (CPU executing); background hardware (revoker,
+  // timer, NIC wire) runs in lock-step.
   void Tick(Cycles n) { clock_.Tick(n); }
 
   // Skips the clock forward while the CPU is idle: advances to the earliest
-  // of the timer deadline, revoker completion and any registered next-event
-  // source, bounded by max_skip. Returns the cycles skipped (0 if an IRQ is
-  // already pending). With `ignore_timer` the armed timer does not bound the
+  // of the timer deadline, revoker completion and the next frame due on the
+  // NIC's wire, bounded by max_skip. Returns the cycles skipped (0 if an IRQ
+  // is already pending). With `ignore_timer` the armed timer does not bound the
   // skip — used by the kernel's idle fast-forward, which treats its own
   // quantum timer as noise (the caller must bound the skip by any genuine
   // scheduler deadline itself); the timer interrupt still pends when the
@@ -59,13 +53,9 @@ class Machine {
   Cycles AdvanceIdle(Cycles max_skip, bool ignore_timer = false);
 
   // Earliest pending hardware event ignoring the CPU-armed timer: revoker
-  // sweep completion or any registered next-event source. nullopt when no
-  // such event is scheduled. The idle fast-forward bound.
+  // sweep completion or the next frame due on the NIC's wire. nullopt when
+  // no such event is scheduled. The idle fast-forward bound.
   std::optional<Cycles> NextHardwareEvent() const;
-
-  void AddNextEventSource(NextEventFn fn) {
-    next_event_sources_.push_back(std::move(fn));
-  }
 
   // Attached observers (src/obs), in attach order. Every choke point is an
   // empty-list check plus a loop, so the off path costs one predictable
@@ -75,10 +65,9 @@ class Machine {
   const obs::ObserverList& observers() const { return observers_; }
   void Attach(obs::Observer* observer);
 
-  // True if any hardware activity is scheduled for the future (armed timer,
-  // in-flight revocation sweep, pending world events).
-  bool HasFutureEvent() const;
-  // Same, but ignores the CPU-armed timer (used for deadlock detection).
+  // True if hardware activity other than the CPU-armed timer is scheduled
+  // for the future (in-flight revocation sweep, frames on the NIC's wire);
+  // used for deadlock detection.
   bool HasFutureEventIgnoringTimer() const;
 
  private:
@@ -93,7 +82,6 @@ class Machine {
   EthernetDevice ethernet_;
   EntropySource entropy_;
   obs::ObserverList observers_;
-  std::vector<NextEventFn> next_event_sources_;
 };
 
 }  // namespace cheriot

@@ -539,9 +539,11 @@ NetWorld::NetWorld(Machine& machine, WorldOptions options)
   // The gateway processes guest frames synchronously inside the TX-commit
   // MMIO store, so "emit time" equals the frame's transmit time and every
   // reply lands exactly one link latency after the guest's transmit — the
-  // same round-trip the pre-fleet NetWorld modelled.
+  // same round-trip a fleet board sees through the fabric.
   gateway_.set_emit([this](Bytes frame, flow::FlowId flow) {
-    Deliver(std::move(frame), flow);
+    machine_.ethernet().InjectAt(
+        machine_.clock().now() + options_.link_latency, std::move(frame),
+        flow);
   });
   // Injected gateway losses reach the machine's observers as frame drops —
   // the drop hook is a pure observation on a path the gateway already
@@ -551,44 +553,9 @@ NetWorld::NetWorld(Machine& machine, WorldOptions options)
       o->OnFrameDrop(flow::kDropGatewayTcp, bytes, id);
     }
   });
-  machine_.ethernet().on_transmit = [this](Bytes frame) {
-    // Board-0 provenance for the single-board world; the sequence ticks
-    // whether or not a flow recorder is attached.
-    const flow::FlowId flow{0, tx_seq_++};
-    if (flow_ != nullptr) {
-      flow_->OnTx(flow, machine_.clock().now(), frame.size());
-    }
+  machine_.ethernet().on_transmit = [this](Bytes frame, flow::FlowId flow) {
     gateway_.OnFrame(machine_.clock().now(), frame, flow);
   };
-  machine_.clock().AddHook([this](Cycles) { PumpDeliveries(); });
-  machine_.AddNextEventSource([this]() -> std::optional<Cycles> {
-    if (pending_.empty()) {
-      return std::nullopt;
-    }
-    return pending_.front().due;
-  });
-}
-
-void NetWorld::AttachFlow(flow::FlowRecorder* recorder) {
-  flow_ = recorder;
-  gateway_.set_flow(recorder);
-}
-
-void NetWorld::Deliver(Bytes frame, flow::FlowId flow) {
-  const Cycles due = machine_.clock().now() + options_.link_latency;
-  // Keep sorted by due time (link is FIFO: latency is constant).
-  pending_.push_back({due, std::move(frame), flow});
-}
-
-void NetWorld::PumpDeliveries() {
-  const Cycles now = machine_.clock().now();
-  while (!pending_.empty() && pending_.front().due <= now) {
-    if (flow_ != nullptr) {
-      flow_->OnDelivery(pending_.front().flow, 0, now);
-    }
-    machine_.ethernet().HostInject(std::move(pending_.front().frame));
-    pending_.pop_front();
-  }
 }
 
 void NetWorld::PublishMqtt(const std::string& topic, const Bytes& payload) {

@@ -11,13 +11,14 @@
 //     an address pool keyed by client MAC, TCP connections are keyed by
 //     (client IP, client port), and IPv4 packets between two leased clients
 //     are forwarded (so fleet boards can ping each other through it).
-//   - NetWorld: the single-board adapter that wires a Gateway directly to
-//     one Machine's Ethernet device with a fixed link latency — the shape
-//     every pre-fleet test and bench uses, API-compatible.
+//   - NetWorld: the single-board adapter that wires a Gateway to one
+//     Machine's Ethernet device: guest transmits go to the gateway, and its
+//     replies go on the device's wire one fixed link latency later. The
+//     device owns the wire (delivery, flow ids, NIC observer events), so a
+//     NetWorld machine and a fleet board share one frame-arrival path.
 #ifndef SRC_NET_WORLD_H_
 #define SRC_NET_WORLD_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -210,8 +211,7 @@ class Gateway {
 };
 
 // Single-board adapter: one Gateway wired straight to one Machine's Ethernet
-// device over a fixed-latency link. Public surface unchanged from the
-// pre-fleet NetWorld.
+// device over a fixed-latency link.
 class NetWorld {
  public:
   NetWorld(Machine& machine, WorldOptions options = {});
@@ -240,26 +240,10 @@ class NetWorld {
   uint32_t frames_from_guest() const { return gateway_.frames_from_guest(); }
   Gateway& gateway() { return gateway_; }
 
-  // Attaches a flow recorder (PR 9): guest transmits, gateway causality and
-  // scheduled deliveries are reported to it. Pure observer.
-  void AttachFlow(flow::FlowRecorder* recorder);
-
  private:
-  struct Pending {
-    Cycles due = 0;
-    Bytes frame;
-    flow::FlowId flow;
-  };
-
-  void Deliver(Bytes frame, flow::FlowId flow);
-  void PumpDeliveries();
-
   Machine& machine_;
   WorldOptions options_;
   Gateway gateway_;
-  flow::FlowRecorder* flow_ = nullptr;
-  uint32_t tx_seq_ = 0;  // board-0 flow-id sequence; always ticks
-  std::deque<Pending> pending_;  // scheduled deliveries
 };
 
 }  // namespace cheriot::net

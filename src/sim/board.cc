@@ -1,7 +1,5 @@
 #include "src/sim/board.h"
 
-#include <algorithm>
-
 #include "src/base/check.h"
 #include "src/snap/wire.h"
 
@@ -17,25 +15,12 @@ Board::Board(FirmwareImage image, const BoardOptions& options)
     : options_(options),
       machine_(options.machine),
       system_(machine_, std::move(image), options.system) {
-  machine_.ethernet().set_mac(options_.mac);
-  machine_.ethernet().on_transmit = [this](Frame frame) {
-    // Provenance is assigned unconditionally (the sequence ticks whether or
-    // not anything records it), so flows-on and flows-off runs stay
-    // bit-identical — including their snapshots.
-    const flow::FlowId flow{static_cast<int16_t>(options_.index), tx_seq_++};
-    ++nic_tx_frames_;
-    for (obs::Observer* o : machine_.observers()) {
-      o->OnNicTx(frame.size(), flow);
-    }
+  EthernetDevice& nic = machine_.ethernet();
+  nic.set_mac(options_.mac);
+  nic.set_flow_origin(static_cast<int16_t>(options_.index));
+  nic.on_transmit = [this](Frame frame, flow::FlowId flow) {
     tx_staged_.push_back({machine_.clock().now(), std::move(frame), flow});
   };
-  machine_.clock().AddHook([this](Cycles) { PumpRx(); });
-  machine_.AddNextEventSource([this]() -> std::optional<Cycles> {
-    if (rx_head_ == rx_pending_.size()) {
-      return std::nullopt;
-    }
-    return rx_pending_[rx_head_].due;
-  });
 }
 
 // Stages flow observations for the Fleet (see Board::FlowObs).
@@ -84,48 +69,6 @@ void Board::EnableFlowStaging() {
 void Board::Boot() {
   system_.Boot();
   booted_ = true;
-}
-
-void Board::PumpRx() {
-  const Cycles now = machine_.clock().now();
-  const size_t first = rx_head_;
-  for (; rx_head_ < rx_pending_.size() && rx_pending_[rx_head_].due <= now;
-       ++rx_head_) {
-    RxFrame& rx = rx_pending_[rx_head_];
-    // kNicLoss injection point: the arbiter may drop a due frame instead of
-    // delivering it (models lossy links; only branched under cheriot_mc
-    // --inject-faults). The drop is observable — a board counter and a frame
-    // drop event for the observers (trace, flow) — not just retransmit
-    // echoes.
-    const uint32_t seq = rx_frame_seq_++;
-    if (arbiter_ != nullptr &&
-        arbiter_->Choose(DecisionKind::kNicLoss, seq, 2) == 1) {
-      ++nic_frames_dropped_;
-      for (obs::Observer* o : machine_.observers()) {
-        o->OnFrameDrop(flow::kDropNicLoss, rx.frame.size(), rx.flow);
-      }
-      rx.frame = {};
-      continue;
-    }
-    ++nic_rx_frames_;
-    for (obs::Observer* o : machine_.observers()) {
-      o->OnNicRx(rx.frame.size(), rx.flow);
-    }
-    machine_.ethernet().HostInject(std::move(rx.frame));
-  }
-  if (rx_head_ == first) {
-    return;
-  }
-  // Drop the delivered prefix: all of it once the queue runs dry, otherwise
-  // once it outgrows the pending part (amortised O(1) per frame).
-  if (rx_head_ == rx_pending_.size()) {
-    rx_pending_.clear();
-    rx_head_ = 0;
-  } else if (2 * rx_head_ >= rx_pending_.size()) {
-    rx_pending_.erase(rx_pending_.begin(),
-                      rx_pending_.begin() + static_cast<ptrdiff_t>(rx_head_));
-    rx_head_ = 0;
-  }
 }
 
 System::RunResult Board::StepTo(Cycles target) {
@@ -192,17 +135,8 @@ void Board::InjectAt(Cycles due, SharedFrame frame, flow::FlowId flow) {
     op.flow = flow;
     op_log_.push_back(std::move(op));
   }
-  EnqueueRx(due, std::move(frame), flow);
+  machine_.ethernet().InjectAt(due, std::move(frame), flow);
   injected_since_deadlock_ = true;
-}
-
-void Board::EnqueueRx(Cycles due, SharedFrame frame, flow::FlowId flow) {
-  // Arrivals almost always carry the latest due, so this is an append.
-  const auto pos = std::upper_bound(
-      rx_pending_.begin() + static_cast<ptrdiff_t>(rx_head_),
-      rx_pending_.end(), due,
-      [](Cycles d, const RxFrame& rx) { return d < rx.due; });
-  rx_pending_.insert(pos, RxFrame{due, std::move(frame), flow});
 }
 
 // --- Snapshot/restore (DESIGN.md §10) --------------------------------------
@@ -268,14 +202,14 @@ void Board::SerializeBoardSection(snap::Writer& w) const {
   w.Bool(booted_);
   w.U8(static_cast<uint8_t>(last_result_));
   w.Bool(injected_since_deadlock_);
-  w.U32(tx_seq_);
+  const EthernetDevice& nic = machine_.ethernet();
+  w.U32(nic.tx_seq());
   SerializeFrameList(w, tx_staged_);
-  w.U32(static_cast<uint32_t>(rx_pending_.size() - rx_head_));
-  for (size_t i = rx_head_; i < rx_pending_.size(); ++i) {
-    const RxFrame& rx = rx_pending_[i];
-    w.U64(rx.due);
-    w.Blob(rx.frame);
-    SerializeFlowId(w, rx.flow);
+  w.U32(static_cast<uint32_t>(nic.wire().size()));
+  for (const EthernetDevice::InFlight& f : nic.wire()) {
+    w.U64(f.due);
+    w.Blob(f.frame);
+    SerializeFlowId(w, f.flow);
   }
 }
 

@@ -131,12 +131,12 @@ class Board {
 
   // Takes this epoch's transmitted frames, stamped with their TX cycle.
   std::vector<TxFrame> DrainTx();
-  // Schedules a frame to arrive at absolute cycle `due`. Frames reach the
-  // NIC in ascending due order, first in first out among equal dues
-  // (DESIGN.md §6). The board keeps the caller's buffer, shared with every
-  // other receiver of the frame; a plain Frame converts. `flow` is the
-  // frame's host-side provenance; defaulted (= untracked) for hand-injected
-  // test frames.
+  // Puts a frame on the NIC's wire, due at absolute cycle `due`
+  // (EthernetDevice::InjectAt: ascending due order, first in first out among
+  // equal dues; DESIGN.md §6), and logs it for replay. The buffer is shared
+  // with every other receiver of the frame; a plain Frame converts. `flow`
+  // is the frame's host-side provenance; defaulted (= untracked) for
+  // hand-injected test frames.
   void InjectAt(Cycles due, SharedFrame frame, flow::FlowId flow = {});
 
   // --- Flow observations (PR 9) --------------------------------------------
@@ -153,12 +153,6 @@ class Board {
   };
   void EnableFlowStaging();
   std::vector<FlowObs> DrainFlowObs();
-
-  // NIC counters (fed to the fleet metrics time-series; maintained whether
-  // or not anything observes).
-  uint64_t nic_tx_frames() const { return nic_tx_frames_; }
-  uint64_t nic_rx_frames() const { return nic_rx_frames_; }
-  uint64_t nic_frames_dropped() const { return nic_frames_dropped_; }
 
   Fingerprint fingerprint();
 
@@ -203,11 +197,11 @@ class Board {
   void BuildStateSections(snap::Container& c);
 
   // Installs the schedule-exploration arbiter (src/kernel/schedule_arbiter.h)
-  // on this board: kernel/scheduler decision points plus the board-level
-  // NIC-loss injection point in PumpRx. Null detaches. Host handle — never
+  // on this board: kernel/scheduler decision points plus the NIC's
+  // frame-loss injection point. Null detaches. Host handle — never
   // serialized; re-install after Restore().
   void SetArbiter(ScheduleArbiter* arbiter) {
-    arbiter_ = arbiter;
+    machine_.ethernet().set_arbiter(arbiter);
     system_.SetArbiter(arbiter);
   }
 
@@ -243,17 +237,8 @@ class Board {
     flow::FlowId flow;  // kInject only: the frame's provenance
   };
 
-  struct RxFrame {
-    Cycles due = 0;
-    SharedFrame frame;
-    flow::FlowId flow;
-  };
-
   // StepTo without the replay-log entry.
   System::RunResult RunTo(Cycles target);
-  // Inserts into rx_pending_ behind every frame due at or before `due`.
-  void EnqueueRx(Cycles due, SharedFrame frame, flow::FlowId flow);
-  void PumpRx();
   void SerializeBoardSection(snap::Writer& w) const;
   // Full container for Snapshot(): OPTS + BOOT + state sections + recorder
   // sections + RLOG.
@@ -269,23 +254,12 @@ class Board {
   health::ForensicsRecorder* forensics_ = nullptr;
   cov::CovRecorder* cov_ = nullptr;
   std::vector<TxFrame> tx_staged_;
-  // Frames awaiting delivery, in delivery order (ascending due, first in
-  // first out among equal dues). Entries before rx_head_ are delivered;
-  // PumpRx drops that prefix once it is the larger part of the vector.
-  std::vector<RxFrame> rx_pending_;
-  size_t rx_head_ = 0;
-  uint32_t tx_seq_ = 0;  // flow-id sequence; ticks on every transmit
   FlowStager* flow_stager_ = nullptr;
-  uint64_t nic_tx_frames_ = 0;
-  uint64_t nic_rx_frames_ = 0;
-  uint64_t nic_frames_dropped_ = 0;
   System::RunResult last_result_ = System::RunResult::kBudgetExhausted;
   bool injected_since_deadlock_ = false;
   bool booted_ = false;
   std::vector<BoardOp> op_log_;
   bool op_log_enabled_ = true;
-  ScheduleArbiter* arbiter_ = nullptr;
-  uint32_t rx_frame_seq_ = 0;  // kNicLoss decision subject
 };
 
 }  // namespace cheriot::sim

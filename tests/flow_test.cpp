@@ -368,12 +368,14 @@ TEST(FlowTest, ArbiterNicLossEmitsFrameDropAndFlowRecord) {
   DropFirstFrames arbiter(2);
   run.fleet->board(0).SetArbiter(&arbiter);
   ASSERT_TRUE(run.fleet->RunUntil(
-      [&] { return run.fleet->board(0).nic_frames_dropped() >= 2; },
+      [&] {
+        return run.fleet->board(0).machine().ethernet().frames_dropped() >= 2;
+      },
       60 * kSecond));
   run.fleet->Run(kSecond);  // let the barrier drain the staged observations
 
-  // The board counter, its trace ring and the flow recorder agree.
-  EXPECT_EQ(run.fleet->board(0).nic_frames_dropped(), 2u);
+  // The NIC counter, the board's trace ring and the flow recorder agree.
+  EXPECT_EQ(run.fleet->board(0).machine().ethernet().frames_dropped(), 2u);
   uint64_t drop_events = 0;
   for (const auto& e : run.fleet->board(0).trace_recorder()->Events()) {
     if (e.type == trace::EventType::kFrameDrop) {
@@ -427,8 +429,8 @@ TEST(FlowTest, MetricsSeriesSamplesEveryBoardOnCadence) {
   // futex-waited, transmitted and received by now. Spot-check the last
   // sample of board 0 against the live board.
   sim::Board& b0 = run.fleet->board(0);
-  EXPECT_GT(b0.nic_tx_frames(), 0u);
-  EXPECT_GT(b0.nic_rx_frames(), 0u);
+  EXPECT_GT(b0.machine().ethernet().tx_frames(), 0u);
+  EXPECT_GT(b0.machine().ethernet().rx_frames(), 0u);
   EXPECT_GT(b0.system().sched().futex_waits(), 0u);
   EXPECT_GT(b0.system().alloc().allocation_count(), 0u);
 }

@@ -180,5 +180,17 @@ TEST_F(RevokerTest, AdvanceIdleSkipsToTimer) {
   EXPECT_TRUE(machine_.irqs().Pending(IrqLine::kTimer));
 }
 
+// A frame on the NIC's wire bounds the idle skip like the timer does, and is
+// in the RX FIFO with the Ethernet IRQ pending when the skip lands.
+TEST_F(RevokerTest, AdvanceIdleSkipsToTheNextFrameOnTheWire) {
+  EthernetDevice& nic = machine_.ethernet();
+  nic.InjectAt(machine_.clock().now() + 500, EthernetDevice::Frame(60, 0xAB));
+  EXPECT_TRUE(machine_.HasFutureEventIgnoringTimer());
+  EXPECT_EQ(machine_.AdvanceIdle(1'000'000), 500u);
+  EXPECT_EQ(nic.rx_pending(), 1u);
+  EXPECT_TRUE(machine_.irqs().Pending(IrqLine::kEthernet));
+  EXPECT_FALSE(machine_.HasFutureEventIgnoringTimer());
+}
+
 }  // namespace
 }  // namespace cheriot
