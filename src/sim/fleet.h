@@ -55,16 +55,17 @@ struct FleetOptions {
   Cycles epoch = 0;
   // One-way latency of each board's link to the switch. Must be positive.
   Cycles board_link_latency = 3'300;
-  // Idle fast-forward + adaptive epochs + board parking. Purely a host-time
-  // optimisation: fingerprints are bit-identical on or off (pinned by
-  // tests/fleet_test.cpp and CI's tsan-fleet job). Escape hatch for
-  // bisecting determinism regressions; the CHERIOT_FLEET_FAST_FORWARD
-  // environment variable ("0" = off, anything else = on) overrides this at
-  // Fleet construction so CI can force both modes without code changes.
-  bool fast_forward = true;
   // Gateway service configuration (DNS table, loss injection, ...).
   net::WorldOptions world;
   MachineConfig machine;
+  // Every board's kernel options. `system.fast_forward` is the one switch
+  // for the whole stack: the boards' idle fast-forward plus the fleet's
+  // adaptive epochs and board parking. Purely a host-time optimisation:
+  // fingerprints are bit-identical on or off (pinned by
+  // tests/fleet_test.cpp and CI's tsan-fleet job). Escape hatch for
+  // bisecting determinism regressions; the CHERIOT_FLEET_FAST_FORWARD
+  // environment variable ("0" = off, anything else = on) overrides it at
+  // Fleet construction so CI can force both modes without code changes.
   SystemOptions system;
   // Attach a flight recorder to every board (and a clockless one to the
   // fabric) before boot. Tracing never moves a guest cycle, so fingerprints
@@ -124,7 +125,7 @@ class Fleet {
   net::Gateway& gateway() { return gateway_; }
   Fabric& fabric() { return fabric_; }
   Cycles epoch_length() const { return epoch_; }
-  bool fast_forward() const { return options_.fast_forward; }
+  bool fast_forward() const { return options_.system.fast_forward; }
   uint64_t frames_exchanged() const { return frames_exchanged_; }
 
   // --- Epoch statistics (honesty counters for benches and tests) -----------

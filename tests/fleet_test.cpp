@@ -41,7 +41,7 @@ FleetRun MakeFleet(int boards, int host_threads,
   FleetRun run;
   FleetOptions options;
   options.host_threads = host_threads;
-  options.fast_forward = fast_forward;
+  options.system.fast_forward = fast_forward;
   options.epoch = epoch;
   run.fleet = std::make_unique<Fleet>(options);
   for (int i = 0; i < boards; ++i) {
@@ -233,7 +233,7 @@ uint64_t Fnv1a(uint64_t h, uint64_t unit) {
 // depend on the fast-forward mode: a fast-forwarded board skips the idle
 // quantum timer, so at the final barrier its timer compare value and
 // pending-IRQ mask differ from a fully stepped board's, and each mode has
-// its own digest. CI runs this suite in both modes.
+// its own digest (FLET records the mode). CI runs this suite in both modes.
 TEST(FleetDeterminismTest, AbsoluteGoldenThirtyTwoBoardsFourWorkers) {
   FleetRun run = MakeFleet(32, /*host_threads=*/4);
   run.fleet->Run(20 * kSecond);
@@ -256,9 +256,9 @@ TEST(FleetDeterminismTest, AbsoluteGoldenThirtyTwoBoardsFourWorkers) {
   }
 
   EXPECT_EQ(fingerprints, 0xd50c99b7dd0e6e03ull);
-  EXPECT_EQ(blob.size(), 8'696'744u);
-  EXPECT_EQ(snapshot, run.fleet->fast_forward() ? 0xf039dcf29d334614ull
-                                                 : 0xde4ae9f41c1b1ed8ull);
+  EXPECT_EQ(blob.size(), 8'696'745u);
+  EXPECT_EQ(snapshot, run.fleet->fast_forward() ? 0x183855f075600b92ull
+                                                 : 0x6c9dba523e3db80dull);
 }
 
 TEST(FleetTest, EpochNeverExceedsLinkLatency) {
@@ -269,7 +269,7 @@ TEST(FleetTest, EpochNeverExceedsLinkLatency) {
 }
 
 // True when the CHERIOT_FLEET_FAST_FORWARD override is active: the explicit
-// FleetOptions::fast_forward flag is ignored, so cross-mode comparisons
+// FleetOptions::system.fast_forward flag is ignored, so cross-mode comparisons
 // degenerate (both sides run in the forced mode) and effectiveness tests
 // must skip. CI exploits this to run the whole suite in each mode.
 bool FastForwardForcedByEnv() {
@@ -501,18 +501,34 @@ TEST(FleetTest, FastForwardEnvOverride) {
   ASSERT_EQ(setenv("CHERIOT_FLEET_FAST_FORWARD", "0", 1), 0);
   {
     FleetOptions options;
-    options.fast_forward = true;
+    options.system.fast_forward = true;
     Fleet fleet(options);
     EXPECT_FALSE(fleet.fast_forward());
   }
   ASSERT_EQ(setenv("CHERIOT_FLEET_FAST_FORWARD", "1", 1), 0);
   {
     FleetOptions options;
-    options.fast_forward = false;
+    options.system.fast_forward = false;
     Fleet fleet(options);
     EXPECT_TRUE(fleet.fast_forward());
   }
   ASSERT_EQ(unsetenv("CHERIOT_FLEET_FAST_FORWARD"), 0);
+}
+
+// The boards' kernel option is the fleet's one fast-forward switch: turning
+// it off turns off the boards' idle fast-forward and the fleet's parking and
+// epoch coarsening alike.
+TEST(FleetTest, SystemFastForwardOffTurnsTheFleetOff) {
+  if (FastForwardForcedByEnv()) {
+    GTEST_SKIP() << "fast-forward forced by environment";
+  }
+  FleetRun run = MakeFleet(2, 1, false, /*fast_forward=*/false);
+  EXPECT_FALSE(run.fleet->fast_forward());
+  EXPECT_FALSE(run.fleet->board(1).system().options().fast_forward);
+  const Cycles span = 20 * run.fleet->epoch_length();
+  run.fleet->Run(span);
+  EXPECT_EQ(run.fleet->barriers(), span / run.fleet->epoch_length());
+  EXPECT_EQ(run.fleet->boards_skipped(), 0u);
 }
 
 // Misconfigured epochs must die at construction, before any board exists —

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
@@ -344,8 +345,8 @@ TEST(SnapshotTest, TraceAndHealthExportsAreByteIdenticalAfterRestore) {
 
 // --- Fleet snapshots -------------------------------------------------------
 
-std::unique_ptr<Fleet> MakeFleet(int boards, int host_threads) {
-  FleetOptions options;
+std::unique_ptr<Fleet> MakeFleet(int boards, int host_threads,
+                                 FleetOptions options = {}) {
   options.host_threads = host_threads;
   auto fleet = std::make_unique<Fleet>(options);
   for (int i = 0; i < boards; ++i) {
@@ -680,6 +681,7 @@ struct FletLayout {
   size_t epoch = 0;
   size_t board_link_latency = 0;
   size_t sram_size = 0;
+  size_t fast_forward = 0;
   size_t board_count = 0;
 };
 
@@ -700,6 +702,11 @@ FletLayout FleetFletLayout(const std::vector<uint8_t>& flet) {
   r.Bool();  // mqtt_fanout
   r.U32();   // sram_base
   l.sram_size = Offset(flet, r);
+  r.U32();
+  r.Bool();  // uart_echo
+  r.U64();   // tick_quantum
+  r.U64();   // idle_chunk
+  l.fast_forward = Offset(flet, r);
   // The tail is board_count (U32), the fleet clock and frames exchanged.
   l.board_count = flet.size() - 4 - 8 - 8;
   return l;
@@ -878,6 +885,41 @@ TEST(SnapshotTest, FleetRestoreRejectsLinkLatencyAndEpochOutOfBounds) {
                                       8),
                               FleetImages()),
                snap::SnapshotError);
+}
+
+// FLET records the fast-forward mode, and a restore replays in it whatever
+// CHERIOT_FLEET_FAST_FORWARD says: the device sections differ between modes,
+// so a replay in the other mode could not reproduce them.
+TEST(SnapshotTest, FleetRestoresInTheFastForwardModeOfItsSnapshot) {
+  constexpr const char* kEnv = "CHERIOT_FLEET_FAST_FORWARD";
+  const char* saved = std::getenv(kEnv);
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ASSERT_EQ(unsetenv(kEnv), 0);
+  FleetOptions options;
+  options.system.fast_forward = false;
+  auto fleet = MakeFleet(2, 1, options);
+  fleet->Run(cost::kCoreHz / 2);
+  std::vector<uint8_t> blob;
+  fleet->Snapshot(blob);
+  const std::vector<uint8_t> flet =
+      Body(snap::Container::Parse(blob), snap::kSecFleet);
+  EXPECT_EQ(flet.at(FleetFletLayout(flet).fast_forward), 0u);
+
+  for (const char* env : {static_cast<const char*>(nullptr), "1"}) {
+    if (env != nullptr) {
+      ASSERT_EQ(setenv(kEnv, env, 1), 0);
+    }
+    std::unique_ptr<Fleet> restored = Fleet::Restore(blob, FleetImages());
+    EXPECT_FALSE(restored->fast_forward());
+    std::vector<uint8_t> again;
+    restored->Snapshot(again);
+    EXPECT_EQ(again, blob) << kEnv << "=" << (env != nullptr ? env : "");
+  }
+  if (saved != nullptr) {
+    setenv(kEnv, saved_value.c_str(), 1);
+  } else {
+    unsetenv(kEnv);
+  }
 }
 
 TEST(SnapshotTest, FleetRestoreRejectsABoardCountUnlikeItsBoards) {
