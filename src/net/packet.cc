@@ -37,8 +37,10 @@ uint32_t PacketReader::U32() {
 
 MacAddress PacketReader::Mac() {
   MacAddress mac{};
-  for (auto& b : mac) {
-    b = U8();
+  // Indexed, not range-for: GCC 12 at -O3 reports the inlined range-for as a
+  // -Wstringop-overflow write past the array.
+  for (size_t i = 0; i < mac.size(); ++i) {
+    mac[i] = U8();
   }
   return mac;
 }
