@@ -522,7 +522,7 @@ void UnusedAuthority(const json::Value& report, const LintOptions& options,
     push("info", image,
          "coverage evidence is for image \"" + idx.image + "\", not \"" +
              image + "\"; unused-authority not evaluated",
-         "re-run cheriot_cov on this image");
+         "re-run cheriot cov on this image");
     return;
   }
   const std::set<std::string>& service = cov::ServiceOwners();

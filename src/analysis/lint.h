@@ -69,7 +69,7 @@ struct LintOptions {
   // service surface — every compartment calls these by design.
   std::vector<std::string> posture_exempt_owners = {"alloc", "sched", "token"};
   // CL010: optional dynamic evidence — a parsed cov_<image>.json document
-  // (tools/cheriot_cov, src/cov/report.h). Null (the default) disables the
+  // (`cheriot cov`, src/cov/report.h). Null (the default) disables the
   // rule entirely; evidence for a different image yields a single info
   // finding instead of a diff.
   const json::Value* coverage = nullptr;

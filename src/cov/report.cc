@@ -181,7 +181,7 @@ json::Value LeastPrivilegeJson(const json::Value& audit_report,
         "info", "stale_evidence", "", idx.image,
         "coverage evidence is for image \"" + idx.image +
             "\", not \"" + image + "\"; no diff performed",
-        "re-run cheriot_cov on this image"));
+        "re-run cheriot cov on this image"));
   } else {
     // The dead-export exemption matches the CL00x linter: RTOS service
     // compartments export their API into every image by construction.

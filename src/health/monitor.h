@@ -97,7 +97,7 @@ json::Value FleetHealthReport(sim::Fleet& fleet,
                               const HealthOptions& options = {});
 
 // Human-readable crash dump of every record in the ring (the "crash_<image>"
-// artifact written by tools/cheriot_health).
+// artifact written by `cheriot health`).
 std::string CrashDumpText(const ForensicsRecorder& recorder);
 
 }  // namespace cheriot::health

@@ -1,6 +1,6 @@
 // ScheduleArbiter: the kernel's schedule decision points, exposed as an
 // injectable policy interface for systematic concurrency exploration
-// (DESIGN.md §12, tools/cheriot_mc).
+// (DESIGN.md §12, `cheriot mc`).
 //
 // At every point where the kernel/scheduler makes a choice that is not
 // forced by the architecture — deliver a pending IRQ now or at the deferral
@@ -46,7 +46,7 @@ enum class DecisionKind : uint8_t {
   // (default), 1 = grant the running thread one more quantum.
   // Subject: current thread id.
   kPreempt = 4,
-  // Fault injection (only branched under cheriot_mc --inject-faults):
+  // Fault injection (only branched under `cheriot mc --inject-faults`):
   // heap_allocate: 0 = allocate normally, 1 = fail as if out of memory.
   kAllocFail = 5,
   // NIC frame delivery: 0 = deliver, 1 = drop the frame. Subject: frame

@@ -695,7 +695,7 @@ FirmwareImage System::AugmentWithTcb(FirmwareImage image) {
        [this, arg](CompartmentCtx& ctx, const std::vector<Capability>& a) {
          // kAllocFail injection point: the arbiter may force this call to
          // fail as if the heap were exhausted (untagged result, nothing
-         // allocated) — only branched under cheriot_mc --inject-faults.
+         // allocated) — only branched under `cheriot mc --inject-faults`.
          if (arbiter_ != nullptr &&
              arbiter_->Choose(DecisionKind::kAllocFail,
                               arg(a, 1).word(), 2) == 1) {

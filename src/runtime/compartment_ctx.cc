@@ -241,7 +241,7 @@ Capability CompartmentCtx::LibCall(const std::string& qualified_name,
 Capability CompartmentCtx::CallSched(const char* name,
                                      const std::vector<Capability>& args) {
   // kSyncPreempt decision point: the caller's read-then-call window. Only
-  // branches under cheriot_mc; a no-op otherwise.
+  // branches under `cheriot mc`; a no-op otherwise.
   system_->MaybeArbiterPreempt();
   return Call(std::string("sched.") + name, args);
 }

@@ -1,7 +1,7 @@
 // Structured comparison of two snapshot blobs: which sections differ, and
 // for the first divergent section, the byte offset of the first difference
 // within that section's body (plus its absolute offset in each blob). Used
-// by `cheriot_snap diff` and by tests asserting replay determinism.
+// by `cheriot snap diff` and by tests asserting replay determinism.
 #ifndef SRC_SNAP_DIFF_H_
 #define SRC_SNAP_DIFF_H_
 
