@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/anon_mapping.h"
 #include "src/base/types.h"
 #include "src/cap/capability.h"
 
@@ -75,7 +76,7 @@ class GuestThread {
 
   // --- Host fiber ---
   ucontext_t context{};
-  std::vector<uint8_t> host_stack;
+  AnonMapping host_stack;  // zero-filled by the OS, backed only where touched
   bool started = false;
   void* tsan_fiber = nullptr;  // ThreadSanitizer fiber handle (TSan builds)
 

@@ -20,6 +20,7 @@
 #endif
 #ifdef CHERIOT_ASAN_FIBERS
 #include <pthread.h>
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -100,6 +101,14 @@ System::~System() {
     }
   }
 #endif
+#ifdef CHERIOT_ASAN_FIBERS
+  // A thread parked mid-call never returns from its frames, so their
+  // redzones stay poisoned, and munmap does not clear ASan's shadow: a later
+  // mapping at the same address (another board's SRAM) would read as stack.
+  for (auto& t : threads_) {
+    __asan_unpoison_memory_region(t.host_stack.data(), t.host_stack.size());
+  }
+#endif
 }
 
 int System::StartingThreadId() const { return starting_thread_id_; }
@@ -173,7 +182,7 @@ void System::CreateThreads() {
     t.max_frames = layout.max_frames;
     t.entry_compartment = layout.entry_compartment;
     t.entry_export = layout.entry_export;
-    t.host_stack.resize(256 * 1024);
+    t.host_stack = AnonMapping(256 * 1024);
     threads_.push_back(std::move(t));
   }
   for (auto& t : threads_) {

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "src/base/check.h"
 #include "src/base/log.h"
 #include "src/snap/wire.h"
 
@@ -53,6 +54,11 @@ std::unique_ptr<BootInfo> Loader::Load(Machine& machine, FirmwareImage image) {
   Memory& mem = machine.memory();
   const Address sram_base = mem.sram_base();
   const Address sram_top = mem.sram_top();
+  // A Memory nothing has run on yet is all zero (its SRAM comes zero-filled
+  // from the OS), so the globals, stacks, scratch and heap below are placed
+  // without re-zeroing them.
+  CHERIOT_CHECK(machine.clock().now() == 0 && mem.access_count() == 0,
+                "Loader::Load needs a fresh Machine");
 
   // The loader holds the omnipotent roots (§3.1.1). These never escape this
   // function except as refined capabilities.
@@ -173,7 +179,6 @@ std::unique_ptr<BootInfo> Loader::Load(Machine& machine, FirmwareImage image) {
     auto& rt = boot->compartments[i];
     rt.globals_size = image.compartments[i].globals_size;
     rt.globals_base = reserve(rt.globals_size, 8);
-    std::memset(mem.raw(rt.globals_base), 0, rt.globals_size);
     boot->stats.globals_bytes += rt.globals_size;
   }
 
@@ -184,7 +189,6 @@ std::unique_ptr<BootInfo> Loader::Load(Machine& machine, FirmwareImage image) {
     t.priority = tdef.priority;
     t.stack_size = AlignUp(tdef.stack_size, kGranuleBytes);
     t.stack_base = reserve(t.stack_size, kGranuleBytes);
-    std::memset(mem.raw(t.stack_base), 0, t.stack_size);
     t.max_frames = tdef.trusted_stack_frames;
     t.trusted_stack_size =
         AlignUp(kTrustedStackHeaderBytes + kRegisterSaveAreaBytes +
@@ -219,7 +223,7 @@ std::unique_ptr<BootInfo> Loader::Load(Machine& machine, FirmwareImage image) {
   const Address scratch_base = reserve(scratch_size, kGranuleBytes);
   boot->stats.loader_scratch_bytes = scratch_size;
 
-  boot->heap_base = scratch_base;  // scratch is erased into the heap below
+  boot->heap_base = scratch_base;  // the erased scratch is the heap's start
   boot->heap_size = sram_top - boot->heap_base;
   boot->stats.heap_bytes = boot->heap_size;
 
@@ -459,10 +463,9 @@ std::unique_ptr<BootInfo> Loader::Load(Machine& machine, FirmwareImage image) {
     rt.globals_snapshot.assign(globals, globals + rt.globals_size);
   }
 
-  // --- Self-erase (§3.1.1): scratch becomes heap -------------------------------
-  std::memset(mem.raw(scratch_base), 0, scratch_size);
-  // Zero the whole heap: "we zero the entire heap on boot" (§3.1.3).
-  std::memset(mem.raw(boot->heap_base), 0, boot->heap_size);
+  // Self-erase (§3.1.1) and "we zero the entire heap on boot" (§3.1.3): the
+  // scratch that becomes heap and the rest of the heap were never written on
+  // this fresh Memory, so they are still zero.
 
   boot->image = std::move(image);
   // Rebind def pointers to the retained image copy.

@@ -3,8 +3,9 @@
 // system's entire initial capability graph — compartment PCC/CGP pairs,
 // export tables, import tables (sealed export capabilities, MMIO grants,
 // library sentries, static sealed objects, allocation capabilities), thread
-// stacks and trusted stacks. It then erases its own scratch region, which
-// becomes part of the shared heap.
+// stacks and trusted stacks. Its scratch region then becomes part of the
+// shared heap, zero like all SRAM the loader did not write: it only ever runs
+// on a fresh Machine.
 #ifndef SRC_LOADER_LOADER_H_
 #define SRC_LOADER_LOADER_H_
 
@@ -141,6 +142,8 @@ class Loader {
   // Runs the boot sequence. Throws std::invalid_argument on malformed
   // images (unresolvable imports, duplicate names, oversized layouts) —
   // the loader is "simple code with a lot of invariant checks" (§3.1.1).
+  // The machine must be fresh: no cycle elapsed and no access made (a
+  // CHERIOT_CHECK), so every byte it does not write is still zero.
   static std::unique_ptr<BootInfo> Load(Machine& machine, FirmwareImage image);
 };
 

@@ -18,13 +18,16 @@
 #ifndef SRC_MEM_MEMORY_H_
 #define SRC_MEM_MEMORY_H_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/base/anon_mapping.h"
 #include "src/base/bitmap.h"
 #include "src/base/clock.h"
 #include "src/base/costs.h"
@@ -179,7 +182,13 @@ class Memory {
   void RawStoreWord(Address addr, Word value);
   size_t GranuleCount() const { return tags_.size(); }
   bool GranuleTagged(size_t index) const { return tags_.Test(index); }
-  const Capability& GranuleCap(size_t index) const { return shadow_[index]; }
+  // The capability behind a tagged granule. Meaningless for an untagged one
+  // (a stale value, or the null capability if its shadow page was never
+  // allocated).
+  const Capability& GranuleCap(size_t index) const {
+    const std::unique_ptr<ShadowPage>& page = shadow_[index / kShadowPageCaps];
+    return page ? (*page)[index % kShadowPageCaps] : kNullShadow;
+  }
   void ClearGranuleTag(size_t index) { tags_.Clear(index); }
   // Index of the first tagged granule at or after `from` (Bitmap::npos if
   // none) — lets the revoker sweep skip untagged runs 64 granules at a time.
@@ -271,12 +280,21 @@ class Memory {
   MmioRegion* FindMmio(Address addr, Address size);
   void HookAndTick(Cycles cycles);
 
+  // The shadow keeps the full capability of every tagged granule, in pages
+  // of kShadowPageCaps granules (4 KiB of SRAM) allocated at the first
+  // tagged store into them: most boards never store a capability, and the
+  // tag bitmap already says which slots mean anything.
+  static constexpr size_t kShadowPageCaps = 512;
+  using ShadowPage = std::array<Capability, kShadowPageCaps>;
+  static constexpr Capability kNullShadow{};
+  Capability& ShadowSlot(size_t g);
+
   Address sram_base_;
   Address sram_size_;
   CycleClock* clock_;
-  std::vector<uint8_t> bytes_;
-  Bitmap tags_;                     // one bit per granule
-  std::vector<Capability> shadow_;  // full capability per tagged granule
+  AnonMapping bytes_;  // zero-filled by the OS, backed only where touched
+  Bitmap tags_;        // one bit per granule
+  std::vector<std::unique_ptr<ShadowPage>> shadow_;
   RevocationMap revocation_;
   std::vector<MmioRegion> mmio_;  // sorted by base, non-overlapping
   size_t mmio_last_ = 0;          // index of the last region FindMmio hit

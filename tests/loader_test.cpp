@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/hw/machine.h"
+#include "src/kernel/system.h"
 
 namespace cheriot {
 namespace {
@@ -200,6 +201,27 @@ TEST(Loader, PerCompartmentMetadataIsSmall) {
     EXPECT_LT(bytes, 200u) << name;
     EXPECT_GT(bytes, 20u) << name;
   }
+}
+
+// The loader leaves every byte it does not write as the fresh Machine had
+// it (zero), so it refuses a machine that anything has run on.
+TEST(LoaderDeathTest, UsedMachineIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Machine machine;
+        machine.Tick(1);
+        Loader::Load(machine, TwoCompartmentImage());
+      },
+      "Loader::Load needs a fresh Machine");
+  EXPECT_DEATH(
+      {
+        Machine machine;
+        System system(machine, TwoCompartmentImage());
+        system.Boot();
+        Loader::Load(machine, TwoCompartmentImage());
+      },
+      "Loader::Load needs a fresh Machine");
 }
 
 TEST(Loader, DeterministicLayout) {
