@@ -1,5 +1,6 @@
 #include "src/net/crypto.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace cheriot::net::crypto {
@@ -21,6 +22,10 @@ constexpr uint32_t kSha256K[64] = {
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+
+constexpr std::array<uint32_t, 8> kSha256Init = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
 void Sha256Block(uint32_t state[8], const uint8_t block[64]) {
   uint32_t w[64];
@@ -51,14 +56,14 @@ void Sha256Block(uint32_t state[8], const uint8_t block[64]) {
   state[4] += e; state[5] += f; state[6] += g; state[7] += h;
 }
 
-}  // namespace
-
-Digest Sha256(const uint8_t* data, size_t len) {
-  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+// Finishes a hash from chaining state `state`, which has already absorbed
+// `prefix_bytes` (whole blocks): absorbs `data`, pads with the total length
+// and returns the digest.
+Digest Sha256Finish(std::array<uint32_t, 8> state, const uint8_t* data,
+                    size_t len, uint64_t prefix_bytes) {
   size_t full = len / 64;
   for (size_t i = 0; i < full; ++i) {
-    Sha256Block(state, data + 64 * i);
+    Sha256Block(state.data(), data + 64 * i);
   }
   uint8_t tail[128] = {};
   const size_t rem = len - full * 64;
@@ -67,13 +72,13 @@ Digest Sha256(const uint8_t* data, size_t len) {
   }
   tail[rem] = 0x80;
   const size_t tail_len = (rem + 9 <= 64) ? 64 : 128;
-  const uint64_t bits = static_cast<uint64_t>(len) * 8;
+  const uint64_t bits = (prefix_bytes + len) * 8;
   for (int i = 0; i < 8; ++i) {
     tail[tail_len - 1 - i] = static_cast<uint8_t>(bits >> (8 * i));
   }
-  Sha256Block(state, tail);
+  Sha256Block(state.data(), tail);
   if (tail_len == 128) {
-    Sha256Block(state, tail + 64);
+    Sha256Block(state.data(), tail + 64);
   }
   Digest out;
   for (int i = 0; i < 8; ++i) {
@@ -83,6 +88,12 @@ Digest Sha256(const uint8_t* data, size_t len) {
     out[4 * i + 3] = static_cast<uint8_t>(state[i]);
   }
   return out;
+}
+
+}  // namespace
+
+Digest Sha256(const uint8_t* data, size_t len) {
+  return Sha256Finish(kSha256Init, data, len, 0);
 }
 
 Digest Sha256(const std::vector<uint8_t>& data) {
@@ -110,6 +121,31 @@ Digest HmacSha256(const uint8_t* key, size_t key_len, const uint8_t* data,
   }
   std::memcpy(outer.data() + 64, inner_digest.data(), 32);
   return Sha256(outer);
+}
+
+HmacKey::HmacKey(const uint8_t* key, size_t key_len)
+    : inner_(kSha256Init), outer_(kSha256Init) {
+  uint8_t k[64] = {};
+  if (key_len > 64) {
+    const Digest kd = Sha256(key, key_len);
+    std::memcpy(k, kd.data(), kd.size());
+  } else if (key_len > 0) {
+    std::memcpy(k, key, key_len);
+  }
+  uint8_t pad[64];
+  for (int i = 0; i < 64; ++i) {
+    pad[i] = k[i] ^ 0x36;
+  }
+  Sha256Block(inner_.data(), pad);
+  for (int i = 0; i < 64; ++i) {
+    pad[i] = k[i] ^ 0x5c;
+  }
+  Sha256Block(outer_.data(), pad);
+}
+
+Digest HmacKey::Mac(const uint8_t* data, size_t len) const {
+  const Digest inner = Sha256Finish(inner_, data, len, 64);
+  return Sha256Finish(outer_, inner.data(), inner.size(), 64);
 }
 
 namespace {
@@ -199,6 +235,13 @@ DhKeyPair DhGenerate(uint64_t entropy) {
 
 uint64_t DhShared(uint64_t secret, uint64_t peer_public) {
   return PowMod(peer_public, secret, kDhPrime);
+}
+
+Digest HandshakeSalt(const Digest& client_random, const Digest& server_random) {
+  std::array<uint8_t, 64> input;
+  std::copy(client_random.begin(), client_random.end(), input.begin());
+  std::copy(server_random.begin(), server_random.end(), input.begin() + 32);
+  return Sha256(input.data(), input.size());
 }
 
 Key DeriveKey(uint64_t shared, const Digest& salt, const char* label) {

@@ -28,7 +28,7 @@ struct TlsSession {
   Capability socket;  // TCP socket handle (tcpip compartment)
   crypto::Key key_c2s{};
   crypto::Key key_s2c{};
-  crypto::Key mac_key{};
+  crypto::HmacKey mac;
   uint32_t tx_counter = 0;
   uint32_t rx_counter = 0;
   std::deque<uint8_t> plaintext;  // decrypted application bytes
@@ -101,8 +101,7 @@ Status SendRecord(CompartmentCtx& ctx, TlsSession& s, uint8_t type,
     wire.push_back(static_cast<uint8_t>(s.tx_counter));
     crypto::ChaCha20Xor(s.key_c2s, s.tx_counter, 0, body.data(), body.size());
     wire.insert(wire.end(), body.begin(), body.end());
-    const auto mac = crypto::HmacSha256(s.mac_key.data(), s.mac_key.size(),
-                                        wire.data(), wire.size());
+    const auto mac = s.mac.Mac(wire.data(), wire.size());
     wire.insert(wire.end(), mac.begin(), mac.begin() + 16);
     ++s.tx_counter;
     body = std::move(wire);
@@ -131,8 +130,7 @@ Status AcceptDataRecord(CompartmentCtx& ctx, TlsSession& s, const Bytes& body) {
   ctx.Burn(crypto::BlocksFor(body.size()) * cost::kChaCha20PerBlock +
            2 * crypto::BlocksFor(body.size() + 64) * cost::kSha256PerBlock);
   const size_t cipher_len = body.size() - 18;
-  const auto mac = crypto::HmacSha256(s.mac_key.data(), s.mac_key.size(),
-                                      body.data(), 2 + cipher_len);
+  const auto mac = s.mac.Mac(body.data(), 2 + cipher_len);
   if (std::memcmp(mac.data(), body.data() + 2 + cipher_len, 16) != 0) {
     return Status::kPermissionDenied;  // record forged/corrupted
   }
@@ -240,16 +238,13 @@ void AddTlsCompartment(ImageBuilder& image, const NetStackOptions& options) {
           server_pub |= static_cast<uint64_t>(body[32 + i]) << (8 * i);
         }
         const uint64_t shared = crypto::DhShared(kp.secret, server_pub);
-        Bytes salt_input(client_random.begin(), client_random.end());
-        salt_input.insert(salt_input.end(), server_random.begin(),
-                          server_random.end());
-        const crypto::Digest salt = crypto::Sha256(salt_input);
+        const crypto::Digest salt =
+            crypto::HandshakeSalt(client_random, server_random);
         s.key_c2s = crypto::DeriveKey(shared, salt, "c2s");
         s.key_s2c = crypto::DeriveKey(shared, salt, "s2c");
-        s.mac_key = crypto::DeriveKey(shared, salt, "mac");
+        s.mac = crypto::HmacKey(crypto::DeriveKey(shared, salt, "mac"));
         // Verify the server's transcript MAC.
-        const auto verify = crypto::HmacSha256(
-            s.mac_key.data(), s.mac_key.size(), salt.data(), salt.size());
+        const auto verify = s.mac.Mac(salt.data(), salt.size());
         if (std::memcmp(verify.data(), body.data() + 40, 16) != 0) {
           s.live = false;
           return StatusCap(Status::kPermissionDenied);

@@ -308,9 +308,7 @@ void Gateway::SendTlsRecord(TcpConn& conn, uint8_t type, Bytes body) {
     crypto::ChaCha20Xor(conn.key_s2c, conn.tls_tx_counter, 0, body.data(),
                         body.size());
     wire.insert(wire.end(), body.begin(), body.end());
-    const auto mac = crypto::HmacSha256(conn.mac_key.data(),
-                                        conn.mac_key.size(), wire.data(),
-                                        wire.size());
+    const auto mac = conn.mac.Mac(wire.data(), wire.size());
     wire.insert(wire.end(), mac.begin(), mac.begin() + 16);
     ++conn.tls_tx_counter;
     body = std::move(wire);
@@ -353,22 +351,17 @@ void Gateway::TlsServerInput(TcpConn& conn) {
       const uint64_t shared = crypto::DhShared(kp.secret, client_pub);
       crypto::Digest server_random =
           crypto::Sha256(reinterpret_cast<const uint8_t*>(&entropy_), 8);
-      // salt = SHA256(client_random || server_random)
-      Bytes salt_input(client_random.begin(), client_random.end());
-      salt_input.insert(salt_input.end(), server_random.begin(),
-                        server_random.end());
-      const crypto::Digest salt = crypto::Sha256(salt_input);
+      const crypto::Digest salt =
+          crypto::HandshakeSalt(client_random, server_random);
       conn.key_c2s = crypto::DeriveKey(shared, salt, "c2s");
       conn.key_s2c = crypto::DeriveKey(shared, salt, "s2c");
-      conn.mac_key = crypto::DeriveKey(shared, salt, "mac");
+      conn.mac = crypto::HmacKey(crypto::DeriveKey(shared, salt, "mac"));
       // ServerHello: server_random(32) || dh_pub(8) || verify(16).
       Bytes hello(server_random.begin(), server_random.end());
       for (int i = 0; i < 8; ++i) {
         hello.push_back(static_cast<uint8_t>(kp.public_value >> (8 * i)));
       }
-      const auto verify =
-          crypto::HmacSha256(conn.mac_key.data(), conn.mac_key.size(),
-                             salt.data(), salt.size());
+      const auto verify = conn.mac.Mac(salt.data(), salt.size());
       hello.insert(hello.end(), verify.begin(), verify.begin() + 16);
       conn.tls_established = true;  // keys live from here
       conn.tls_tx_counter = 0;
@@ -382,9 +375,7 @@ void Gateway::TlsServerInput(TcpConn& conn) {
         continue;
       }
       const size_t cipher_len = body.size() - 18;
-      const auto mac = crypto::HmacSha256(conn.mac_key.data(),
-                                          conn.mac_key.size(), body.data(),
-                                          2 + cipher_len);
+      const auto mac = conn.mac.Mac(body.data(), 2 + cipher_len);
       if (std::memcmp(mac.data(), body.data() + 2 + cipher_len, 16) != 0) {
         LOG_WARN("world: TLS MAC mismatch, dropping record");
         continue;

@@ -167,7 +167,7 @@ class Gateway {
     bool tls_established = false;
     crypto::Key key_c2s{};
     crypto::Key key_s2c{};
-    crypto::Key mac_key{};
+    crypto::HmacKey mac;
     uint32_t tls_rx_counter = 0;
     uint32_t tls_tx_counter = 0;
     bool mqtt_connected = false;

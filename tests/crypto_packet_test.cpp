@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "src/net/crypto.h"
 #include "src/net/packet.h"
@@ -60,6 +61,35 @@ TEST(Crypto, HmacRfc4231Case2) {
   const auto mac = crypto::HmacSha256(key, 4, data, 28);
   EXPECT_EQ(Hex(mac.data(), 32),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+}
+
+// The precomputed-pad form equals the byte-key form at every message length
+// around the padding edges (55/56 and 119/120 bytes change the inner hash's
+// block count), for a session-sized key and for short and over-long keys.
+TEST(Crypto, HmacKeyMatchesHmacSha256) {
+  std::vector<uint8_t> msg(300);
+  for (size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  crypto::Key session;
+  for (size_t i = 0; i < session.size(); ++i) {
+    session[i] = static_cast<uint8_t>(0xA5 ^ i);
+  }
+  const crypto::HmacKey key(session);
+  for (size_t len = 0; len <= msg.size(); ++len) {
+    EXPECT_EQ(key.Mac(msg.data(), len),
+              crypto::HmacSha256(session.data(), session.size(), msg.data(),
+                                 len))
+        << "length " << len;
+  }
+  const uint8_t jefe[] = "Jefe";
+  const uint8_t data[] = "what do ya want for nothing?";
+  const auto mac = crypto::HmacKey(jefe, 4).Mac(data, 28);
+  EXPECT_EQ(Hex(mac.data(), 32),
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  const std::vector<uint8_t> long_key(100, 0xAA);
+  EXPECT_EQ(crypto::HmacKey(long_key.data(), long_key.size()).Mac(data, 28),
+            crypto::HmacSha256(long_key.data(), long_key.size(), data, 28));
 }
 
 // --- ChaCha20: symmetric and length-robust ---
