@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -498,6 +499,11 @@ TEST(BoardRxTest, DeliversInDueOrderFirstInFirstOutAmongEqualDues) {
 }
 
 TEST(FleetTest, FastForwardEnvOverride) {
+  // Restored at the end: later tests in this process must see the mode the
+  // suite was started in.
+  const char* outer = std::getenv("CHERIOT_FLEET_FAST_FORWARD");
+  const std::optional<std::string> saved =
+      outer ? std::optional<std::string>(outer) : std::nullopt;
   ASSERT_EQ(setenv("CHERIOT_FLEET_FAST_FORWARD", "0", 1), 0);
   {
     FleetOptions options;
@@ -512,7 +518,9 @@ TEST(FleetTest, FastForwardEnvOverride) {
     Fleet fleet(options);
     EXPECT_TRUE(fleet.fast_forward());
   }
-  ASSERT_EQ(unsetenv("CHERIOT_FLEET_FAST_FORWARD"), 0);
+  ASSERT_EQ(saved ? setenv("CHERIOT_FLEET_FAST_FORWARD", saved->c_str(), 1)
+                  : unsetenv("CHERIOT_FLEET_FAST_FORWARD"),
+            0);
 }
 
 // The boards' kernel option is the fleet's one fast-forward switch: turning
