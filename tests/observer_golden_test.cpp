@@ -18,11 +18,13 @@
 #include <vector>
 
 #include "src/cov/report.h"
+#include "src/flow/flow.h"
 #include "src/health/monitor.h"
 #include "src/rtos.h"
 #include "src/sim/board.h"
 #include "src/sim/fleet.h"
 #include "src/sim/fleet_app.h"
+#include "src/switcher/registers.h"
 #include "src/trace/export.h"
 #include "tests/seeded_images.h"
 #include "tools/cov_targets.h"
@@ -247,6 +249,133 @@ TEST(ObserverGoldenTest, SeededForcedUnwindFilesOneForcedUnwindRecord) {
   EXPECT_EQ(count(health::Disposition::kHandlerUnwind), 1u);
   EXPECT_EQ(fr->recorded(), 2u);
   EXPECT_EQ(tr->events_of_type(trace::EventType::kCrashRecord), 2u);
+}
+
+// The images above emit no library call, trap, sweep, frame drop, fabric
+// frame, crash record or idle fast-forward, so a key-order slip in those
+// kinds would pass them. This feeds one board recorder every kind of event
+// through its hooks (frame drops with both reasons, NIC frames and drops with
+// and without a flow), plus a clockless fabric recorder, and pins the
+// Chrome-trace bytes, pretty and compact, alone and merged.
+TEST(ObserverGoldenTest, ChromeTraceOfEveryEventType) {
+  Machine machine;
+  trace::TraceRecorder board;
+  board.SetOwner("board0", 0);
+  trace::Attach(machine, &board);
+  ImageBuilder b("every-event");
+  b.Library("mathlib").Export(
+      "square", [](CompartmentCtx&, const std::vector<Capability>&) {
+        return WordCap(0);
+      });
+  b.Compartment("beta").Globals(64).Export(
+      "work", [](CompartmentCtx&, const std::vector<Capability>&) {
+        return WordCap(0);
+      });
+  b.Compartment("alpha")
+      .Globals(64)
+      .ImportCompartment("beta.work")
+      .ImportLibrary("mathlib.square")
+      .Export("main", [](CompartmentCtx&, const std::vector<Capability>&) {
+        return WordCap(0);
+      });
+  b.Thread("main \"t\"", 1, 4096, 4, "alpha.main");
+  b.Thread("second", 2, 4096, 4, "alpha.main");
+  System sys(machine, b.Build());
+  sys.Boot();
+  int alpha = -1000;
+  int beta = -1000;
+  for (int id = 0; id < 32; ++id) {
+    if (board.CompartmentName(id) == "alpha") {
+      alpha = id;
+    } else if (board.CompartmentName(id) == "beta") {
+      beta = id;
+    }
+  }
+  ASSERT_NE(alpha, -1000);
+  ASSERT_NE(beta, -1000);
+
+  const auto tick = [&](Cycles n) { machine.clock().Tick(n); };
+  const auto flow = [](int16_t origin, uint32_t seq) {
+    flow::FlowId id;
+    id.origin = origin;
+    id.seq = seq;
+    return id;
+  };
+  const flow::FlowId none;
+  GuestThread& t = sys.threads()[0];
+  const RegisterFile regs;
+  tick(100);
+  board.OnContextSwitch(-1, 0);
+  tick(40);
+  t.compartment_stack = {alpha, beta};
+  t.current_compartment = beta;
+  board.OnCompartmentCall(t, alpha, 0);
+  tick(25);
+  board.OnLibraryCall(t, 0, 0);
+  tick(10);
+  const obs::TrapEvent trap{t, beta, TrapCode::kBoundsViolation, 0x2000'0040,
+                            regs};
+  board.OnTrap(trap);
+  board.OnCrashRecord(trap, 7);
+  tick(5);
+  t.compartment_stack = {alpha};
+  t.current_compartment = alpha;
+  board.OnCompartmentReturn(t, beta);
+  tick(20);
+  board.OnHeapAlloc({0, alpha, alpha, 3, 64});
+  tick(20);
+  board.OnQuotaDenied({0, alpha, alpha, 3, 4096});
+  tick(20);
+  board.OnHeapFree({0, alpha, alpha, 3, 64});
+  board.OnThreadWake(1);
+  tick(15);
+  board.OnThreadBlock(0, 0x2000'0100);
+  board.OnContextSwitch(0, 1);
+  tick(30);
+  board.OnThreadSleep(1, 90'000);
+  board.OnSweepBegin(4);
+  tick(300);
+  board.OnSweepEnd(6, 1024);
+  board.OnNicTx(60, flow(0, 1));
+  board.OnNicTx(342, none);
+  tick(50);
+  board.OnNicRx(60, flow(flow::FlowId::kGateway, 2));
+  board.OnNicRx(90, none);
+  board.OnFrameDrop(flow::kDropNicLoss, 60, flow(0, 3));
+  board.OnFrameDrop(flow::kDropNicLoss, 61, none);
+  board.OnFrameDrop(flow::kDropGatewayTcp, 62, flow(flow::FlowId::kGateway, 4));
+  board.OnFrameDrop(flow::kDropGatewayTcp, 63, none);
+  board.OnContextSwitch(1, -1);
+  tick(5000);
+  board.OnIdleFastForward(5000);
+
+  trace::TraceRecorder fabric;
+  fabric.SetOwner("fabric", -1);
+  fabric.OnFabricFrame(140, 0, 1, 64, 0, 1);
+  fabric.OnFabricFrame(140, 1, -1, 342);
+  fabric.OnFabricFrame(700, 1, 0, 60, flow::FlowId::kGateway, 2);
+  fabric.OnFrameDropAt(700, flow::kDropNicLoss, 60, 0, 3);
+  fabric.OnFrameDropAt(800, flow::kDropGatewayTcp, 63, trace::kNoFlowOrigin,
+                       0);
+  for (size_t k = 0; k < trace::kEventTypeCount; ++k) {
+    const auto type = static_cast<trace::EventType>(k);
+    EXPECT_GT(board.events_of_type(type) + fabric.events_of_type(type), 0u)
+        << trace::EventTypeName(type);
+  }
+
+  Digests d;
+  d.Add("ChromeTrace", Fnv1a(trace::ChromeTrace(board).Dump(2)));
+  d.Add("ChromeTraceCompact", Fnv1a(trace::ChromeTrace(board).Dump(-1)));
+  d.Add("FabricChromeTrace", Fnv1a(trace::ChromeTrace(fabric).Dump(2)));
+  d.Add("FabricChromeTraceCompact",
+        Fnv1a(trace::ChromeTrace(fabric).Dump(-1)));
+  d.Add("MergedChromeTrace",
+        Fnv1a(trace::MergedChromeTrace({&board, &fabric}).Dump(2)));
+  d.Add("MergedChromeTraceCompact",
+        Fnv1a(trace::MergedChromeTrace({&board, &fabric}).Dump(-1)));
+  EXPECT_EQ(d.Combined(), 0xa5921379f6ec75f7ull)
+      << "per-artifact digests\n"
+      << d.Table();
 }
 
 TEST(ObserverGoldenTest, FleetNodeFleetWithEveryRecorder) {
