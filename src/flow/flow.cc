@@ -3,13 +3,19 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 
 namespace cheriot::flow {
 
 std::string FlowId::Label() const {
   if (origin == kNone) return "none";
-  if (origin == kGateway) return "gw#" + std::to_string(seq);
-  return "b" + std::to_string(origin) + "#" + std::to_string(seq);
+  char buf[32];
+  if (origin == kGateway) {
+    std::snprintf(buf, sizeof buf, "gw#%u", seq);
+  } else {
+    std::snprintf(buf, sizeof buf, "b%d#%u", origin, seq);
+  }
+  return buf;
 }
 
 // --- LatencyHistogram --------------------------------------------------------
@@ -308,6 +314,20 @@ json::Value FlowRecorder::FlowTableJson() const {
   return json::Value(std::move(o));
 }
 
+namespace {
+
+// "gw" for the gateway, else "b<board>".
+std::string EndpointLabel(int endpoint) {
+  if (endpoint == FlowId::kGateway) {
+    return "gw";
+  }
+  std::string label = "b";
+  label += std::to_string(endpoint);
+  return label;
+}
+
+}  // namespace
+
 json::Value FlowRecorder::HistogramsJson() const {
   json::Object topics;
   for (const auto& [topic, hist] : topic_latency_) {
@@ -315,12 +335,9 @@ json::Value FlowRecorder::HistogramsJson() const {
   }
   json::Object pairs;
   for (const auto& [pair, hist] : pair_latency_) {
-    const std::string key =
-        (pair.first == FlowId::kGateway ? std::string("gw")
-                                        : "b" + std::to_string(pair.first)) +
-        "->" +
-        (pair.second == -1 ? std::string("gw")
-                           : "b" + std::to_string(pair.second));
+    std::string key = EndpointLabel(pair.first);
+    key += "->";
+    key += EndpointLabel(pair.second);
     pairs[key] = hist.ToJson();
   }
   json::Object o;

@@ -11,6 +11,7 @@
 #define SRC_TRACE_EXPORT_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/json/json.h"
@@ -27,6 +28,21 @@ struct ThreadStackStats {
   uint32_t compartment_calls = 0;
 };
 
+// A Chrome trace-event document over one or more recorders. It holds only
+// the recorders, which must outlive it: Dump streams the events through a
+// json::Writer into one string, with no json::Value tree, and writes the
+// bytes json::Value::Dump(indent) would for that tree.
+class ChromeTraceJson {
+ public:
+  explicit ChromeTraceJson(std::vector<const TraceRecorder*> recorders)
+      : recorders_(std::move(recorders)) {}
+
+  std::string Dump(int indent = 2) const;
+
+ private:
+  std::vector<const TraceRecorder*> recorders_;
+};
+
 // Chrome trace-event JSON for one recorder. Timestamps are raw guest cycles
 // (the viewer's time unit is nominally microseconds; relative durations and
 // ordering are what matter). One process per board (pid = board index;
@@ -35,12 +51,13 @@ struct ThreadStackStats {
 // (tid 9992). Compartment calls are B/E duration pairs named
 // "compartment.export"; traps, wakes and quota exhaustion are instant
 // events; heap_live_bytes is a counter series.
-json::Value ChromeTrace(TraceRecorder& recorder);
+ChromeTraceJson ChromeTrace(const TraceRecorder& recorder);
 
 // Fleet-level merge: every recorder's events on its own pid, interleaved by
 // guest cycle with a stable tie-break on recorder order, so the merged trace
 // is byte-identical for any host worker count.
-json::Value MergedChromeTrace(const std::vector<TraceRecorder*>& recorders);
+ChromeTraceJson MergedChromeTrace(
+    const std::vector<TraceRecorder*>& recorders);
 
 // Versioned metrics snapshot (kMetricsSchemaVersion). Byte-stable: emit with
 // Dump(2) and diff across runs. `threads` supplies per-thread peak-stack

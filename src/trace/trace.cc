@@ -90,53 +90,59 @@ void TraceRecorder::ChargeToNow() {
   }
   const Cycles d = now - settled_at_;
   settled_at_ = now;
-  if (!boot_done_) {
-    boot_cycles_ += d;
-    auto& p = profile_[obs::kContextBoot];
-    p.self += d;
-    p.total += d;
-    collapsed_[{obs::kContextBoot}] += d;
-    return;
+  const std::vector<int>* stack =
+      boot_done_ && current_thread_ >= 0
+          ? &(*threads_)[static_cast<size_t>(current_thread_)].compartment_stack
+          : nullptr;
+  if (!target_.valid || target_.boot_done != boot_done_ ||
+      target_.thread != current_thread_ ||
+      (stack != nullptr && *stack != target_.stack)) {
+    Retarget(stack);
   }
-  if (current_thread_ < 0) {
-    idle_cycles_ += d;
-    auto& p = profile_[obs::kContextIdle];
-    p.self += d;
-    p.total += d;
-    collapsed_[{obs::kContextIdle}] += d;
-    return;
+  if (target_.context_cycles != nullptr) {
+    *target_.context_cycles += d;
   }
-  NoteThread(current_thread_);
-  const std::vector<int>& stack =
-      (*threads_)[static_cast<size_t>(current_thread_)].compartment_stack;
-  if (stack.empty()) {
-    auto& p = profile_[obs::kContextKernel];
-    p.self += d;
-    p.total += d;
-    collapsed_[{current_thread_, obs::kContextKernel}] += d;
-    return;
+  target_.self->self += d;
+  for (CompartmentProfile* p : target_.totals) {
+    p->total += d;
   }
-  profile_[stack.back()].self += d;
-  // `total` counts a compartment once per running stack even under
-  // recursion, so Σ total can exceed wall cycles but never double-counts one
-  // frame chain.
-  for (size_t i = 0; i < stack.size(); ++i) {
-    bool seen = false;
-    for (size_t j = 0; j < i; ++j) {
-      if (stack[j] == stack[i]) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) {
-      profile_[stack[i]].total += d;
+  *target_.collapsed += d;
+}
+
+void TraceRecorder::Retarget(const std::vector<int>* stack) {
+  ChargeTarget& t = target_;
+  t.valid = true;
+  t.boot_done = boot_done_;
+  t.thread = current_thread_;
+  t.context_cycles = nullptr;
+  t.stack.clear();
+  t.key.clear();
+  if (!boot_done_ || current_thread_ < 0) {
+    t.context_cycles = boot_done_ ? &idle_cycles_ : &boot_cycles_;
+    t.key.push_back(boot_done_ ? obs::kContextIdle : obs::kContextBoot);
+  } else {
+    NoteThread(current_thread_);
+    t.stack = *stack;
+    t.key.push_back(current_thread_);
+    if (stack->empty()) {
+      t.key.push_back(obs::kContextKernel);
+    } else {
+      t.key.insert(t.key.end(), stack->begin(), stack->end());
     }
   }
-  std::vector<int> key;
-  key.reserve(stack.size() + 1);
-  key.push_back(current_thread_);
-  key.insert(key.end(), stack.begin(), stack.end());
-  collapsed_[key] += d;
+  // The frames the span runs in follow the thread id in a thread's key:
+  // self goes to the innermost, and `total` counts each distinct frame once
+  // per running stack even under recursion, so Σ total can exceed wall
+  // cycles but never double-counts one frame chain.
+  const auto frames = t.key.begin() + (t.context_cycles != nullptr ? 0 : 1);
+  t.self = &profile_[t.key.back()];
+  t.totals.clear();
+  for (auto frame = frames; frame != t.key.end(); ++frame) {
+    if (std::find(frames, frame, *frame) == frame) {
+      t.totals.push_back(&profile_[*frame]);
+    }
+  }
+  t.collapsed = &collapsed_[t.key];
 }
 
 void TraceRecorder::OnAttach(Machine& machine) {

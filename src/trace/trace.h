@@ -231,6 +231,8 @@ class TraceRecorder : public obs::Observer {
   // Raises the thread high-water mark: the number of per-thread stacks TRCE
   // carries (every thread the recorder has charged or seen call).
   void NoteThread(int thread);
+  // Points target_ at the buckets of the current context.
+  void Retarget(const std::vector<int>* stack);
 
   TraceOptions options_;
   const CycleClock* clock_ = nullptr;
@@ -252,6 +254,26 @@ class TraceRecorder : public obs::Observer {
   std::map<std::vector<int>, Cycles> collapsed_;
   Cycles boot_cycles_ = 0;
   Cycles idle_cycles_ = 0;
+  // Where ChargeToNow puts a span: the buckets of the context it last
+  // charged (boot, idle, kernel, or a thread and its compartment stack).
+  // Map nodes never move and nothing is erased, and the recorder is not
+  // copyable, so the pointers stay valid; a full compare of the context on
+  // every charge decides when to rebuild it.
+  struct ChargeTarget {
+    bool valid = false;
+    // The context: boot_done_, current_thread_ and the thread's stack.
+    bool boot_done = false;
+    int thread = -1;
+    std::vector<int> stack;
+    // Its collapsed_ key: [boot or idle], or [thread, frames...] where an
+    // empty stack is the one frame kContextKernel.
+    std::vector<int> key;
+    Cycles* context_cycles = nullptr;  // &boot_cycles_ or &idle_cycles_
+    CompartmentProfile* self = nullptr;
+    std::vector<CompartmentProfile*> totals;  // each distinct frame once
+    Cycles* collapsed = nullptr;
+  };
+  ChargeTarget target_;
 
   // Aggregates.
   uint64_t heap_live_bytes_ = 0;

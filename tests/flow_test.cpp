@@ -422,7 +422,7 @@ TEST(FlowTest, MetricsSeriesSamplesEveryBoardOnCadence) {
        {"cycle", "board", "board_cycle", "busy_cycles", "idle_cycles", "traps",
         "allocs", "quota_denials", "nic_tx_frames", "nic_rx_frames",
         "nic_drops", "futex_waits"}) {
-    EXPECT_NE(dump.find("\"" + std::string(col) + "\""), std::string::npos)
+    EXPECT_NE(dump.find(std::string("\"") + col + "\""), std::string::npos)
         << col;
   }
   // The counters are real: a connected fleet-node board has allocated,

@@ -477,7 +477,9 @@ FirmwareImage FaultingImage(int threads = 1) {
       });
   sync::UseAllocator(b, "app");
   for (int i = 0; i < threads; ++i) {
-    b.Thread("t" + std::to_string(i), 1, 8192, 8, "app.main");
+    std::string name = "t";
+    name += std::to_string(i);
+    b.Thread(name, 1, 8192, 8, "app.main");
   }
   return b.Build();
 }

@@ -303,7 +303,7 @@ Exports HealthExports(const LintTarget& target, const Finished& run,
   } else {
     health_json = health::FleetHealthReport(*run.fleet).Dump(2) + "\n";
     for (size_t i = 0; i < run.fleet->size(); ++i) {
-      collect(run.fleet->board(i), "b" + std::to_string(i) + "_");
+      collect(run.fleet->board(i), Format("b%zu_", i));
       crash_txt += "\n";
     }
   }
