@@ -320,10 +320,15 @@ int main(int argc, char** argv) {
   // Timer::Poll were out-of-line functions called on every access.
   CycleClock naive_clock;
   NaiveBackground naive_bg;
-  naive_clock.AddHook([&naive_bg](Cycles d) {
+  std::function<void(Cycles)> naive_tick = [&naive_bg](Cycles d) {
     naive_bg.Advance(d);
     naive_bg.Poll();
-  });
+  };
+  naive_clock.SetRawHook(
+      [](void* tick, Cycles d) {
+        (*static_cast<std::function<void(Cycles)>*>(tick))(d);
+      },
+      &naive_tick);
   constexpr Address kBase = 0x20000000;
   NaiveMemory naive(kBase, 256 * 1024, &naive_clock);
   for (Address dev = kUartMmioBase; dev <= kEntropyMmioBase; dev += 0x1000) {

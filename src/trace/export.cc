@@ -333,7 +333,7 @@ ChromeTraceJson ChromeTrace(const TraceRecorder& recorder) {
   return ChromeTraceJson({&recorder});
 }
 
-json::Value MetricsSnapshot(TraceRecorder& recorder,
+json::Value MetricsSnapshot(const TraceRecorder& recorder,
                             const std::vector<ThreadStackStats>& threads) {
   json::Object doc;
   doc["schema_version"] = kMetricsSchemaVersion;
@@ -398,7 +398,7 @@ json::Value MetricsSnapshot(TraceRecorder& recorder,
   return doc;
 }
 
-std::string CollapsedStacksText(TraceRecorder& recorder) {
+std::string CollapsedStacksText(const TraceRecorder& recorder) {
   std::string out;
   for (const auto& [key, cycles] : recorder.CollapsedStacks()) {
     std::string line;
@@ -420,7 +420,7 @@ std::string CollapsedStacksText(TraceRecorder& recorder) {
   return out;
 }
 
-std::string ProfileText(TraceRecorder& recorder) {
+std::string ProfileText(const TraceRecorder& recorder) {
   const Cycles now = recorder.now();
   std::string out;
   char buf[256];
@@ -436,8 +436,9 @@ std::string ProfileText(TraceRecorder& recorder) {
                 "calls", "self", "total", "self%");
   out += buf;
   // Rows sorted by self cycles (descending), then id, for stable output.
+  const auto profile = recorder.Profile();
   std::vector<std::pair<int, TraceRecorder::CompartmentProfile>> rows(
-      recorder.Profile().begin(), recorder.Profile().end());
+      profile.begin(), profile.end());
   std::stable_sort(rows.begin(), rows.end(),
                    [](const auto& a, const auto& b) {
                      if (a.second.self != b.second.self) {

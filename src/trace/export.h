@@ -63,16 +63,16 @@ ChromeTraceJson MergedChromeTrace(
 // Dump(2) and diff across runs. `threads` supplies per-thread peak-stack
 // stats; pass {} for recorders without a System (e.g. the fabric's).
 inline constexpr int kMetricsSchemaVersion = 1;
-json::Value MetricsSnapshot(TraceRecorder& recorder,
+json::Value MetricsSnapshot(const TraceRecorder& recorder,
                             const std::vector<ThreadStackStats>& threads = {});
 
 // Collapsed call stacks, one per line: "thread;comp;...;comp <cycles>" —
 // directly consumable by flamegraph.pl / speedscope.
-std::string CollapsedStacksText(TraceRecorder& recorder);
+std::string CollapsedStacksText(const TraceRecorder& recorder);
 
 // Human-readable per-compartment table (self/total/calls, share of wall
 // cycles), headed by the boot/idle/attribution summary.
-std::string ProfileText(TraceRecorder& recorder);
+std::string ProfileText(const TraceRecorder& recorder);
 
 }  // namespace cheriot::trace
 

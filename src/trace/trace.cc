@@ -13,6 +13,16 @@
 #pragma GCC diagnostic error "-Wswitch"
 
 namespace cheriot::trace {
+namespace {
+
+// The cycles charged to a one-frame context, <boot> or <idle>.
+Cycles ContextCycles(const std::map<std::vector<int>, Cycles>& stacks,
+                     int context) {
+  const auto it = stacks.find({context});
+  return it == stacks.end() ? 0 : it->second;
+}
+
+}  // namespace
 
 const char* EventTypeName(EventType type) {
   switch (type) {
@@ -43,15 +53,19 @@ const char* EventTypeName(EventType type) {
 TraceRecorder::TraceRecorder(TraceOptions options)
     : options_(options), ring_(options.ring_capacity) {}
 
+// The byte after the ring capacity was the profiler's on/off switch. The
+// profiler is always on, so snapshots keep writing 1 and a 0 is refused.
 void TraceRecorder::SerializeOptions(snap::Writer& w) const {
   w.U64(options_.ring_capacity);
-  w.Bool(options_.profile);
+  w.Bool(true);
 }
 
 TraceOptions TraceRecorder::ReadOptions(snap::Reader& r) {
   TraceOptions o;
   o.ring_capacity = r.U64();
-  o.profile = r.Bool();
+  if (!r.Bool()) {
+    throw snap::SnapshotError("trace options: the profiler cannot be off");
+  }
   return o;
 }
 
@@ -80,80 +94,36 @@ void TraceRecorder::NoteThread(int thread) {
   thread_hwm_ = std::max(thread_hwm_, static_cast<size_t>(thread) + 1);
 }
 
-void TraceRecorder::ChargeToNow() {
-  if (!options_.profile || clock_ == nullptr) {
-    return;
-  }
-  const Cycles now = clock_->now();
-  if (now <= settled_at_) {
-    return;
-  }
-  const Cycles d = now - settled_at_;
-  settled_at_ = now;
-  const std::vector<int>* stack =
-      boot_done_ && current_thread_ >= 0
-          ? &(*threads_)[static_cast<size_t>(current_thread_)].compartment_stack
-          : nullptr;
-  if (!target_.valid || target_.boot_done != boot_done_ ||
-      target_.thread != current_thread_ ||
-      (stack != nullptr && *stack != target_.stack)) {
-    Retarget(stack);
-  }
-  if (target_.context_cycles != nullptr) {
-    *target_.context_cycles += d;
-  }
-  target_.self->self += d;
-  for (CompartmentProfile* p : target_.totals) {
-    p->total += d;
-  }
-  *target_.collapsed += d;
+Cycles TraceRecorder::Unsettled() const {
+  return clock_ != nullptr && clock_->now() > settled_at_
+             ? clock_->now() - settled_at_
+             : 0;
 }
 
-void TraceRecorder::Retarget(const std::vector<int>* stack) {
-  ChargeTarget& t = target_;
-  t.valid = true;
-  t.boot_done = boot_done_;
-  t.thread = current_thread_;
-  t.context_cycles = nullptr;
-  t.stack.clear();
-  t.key.clear();
+void TraceRecorder::Settle() {
+  if (const Cycles span = Unsettled()) {
+    collapsed_[context_] += span;
+    settled_at_ += span;
+    if (context_.size() > 1) {
+      NoteThread(context_[0]);
+    }
+  }
+  context_.clear();
   if (!boot_done_ || current_thread_ < 0) {
-    t.context_cycles = boot_done_ ? &idle_cycles_ : &boot_cycles_;
-    t.key.push_back(boot_done_ ? obs::kContextIdle : obs::kContextBoot);
+    context_.push_back(boot_done_ ? obs::kContextIdle : obs::kContextBoot);
+    return;
+  }
+  const std::vector<int>& stack =
+      (*threads_)[static_cast<size_t>(current_thread_)].compartment_stack;
+  context_.push_back(current_thread_);
+  if (stack.empty()) {
+    context_.push_back(obs::kContextKernel);
   } else {
-    NoteThread(current_thread_);
-    t.stack = *stack;
-    t.key.push_back(current_thread_);
-    if (stack->empty()) {
-      t.key.push_back(obs::kContextKernel);
-    } else {
-      t.key.insert(t.key.end(), stack->begin(), stack->end());
-    }
+    context_.insert(context_.end(), stack.begin(), stack.end());
   }
-  // The frames the span runs in follow the thread id in a thread's key:
-  // self goes to the innermost, and `total` counts each distinct frame once
-  // per running stack even under recursion, so Σ total can exceed wall
-  // cycles but never double-counts one frame chain.
-  const auto frames = t.key.begin() + (t.context_cycles != nullptr ? 0 : 1);
-  t.self = &profile_[t.key.back()];
-  t.totals.clear();
-  for (auto frame = frames; frame != t.key.end(); ++frame) {
-    if (std::find(frames, frame, *frame) == frame) {
-      t.totals.push_back(&profile_[*frame]);
-    }
-  }
-  t.collapsed = &collapsed_[t.key];
 }
 
-void TraceRecorder::OnAttach(Machine& machine) {
-  clock_ = &machine.clock();
-  if (options_.profile) {
-    // The profiler rides the clock's std::function hook list; when no
-    // recorder is attached the clock stays on its raw fast path. The hook
-    // only reads now() — it never ticks — so the cycle model is untouched.
-    machine.clock().AddHook([this](Cycles) { ChargeToNow(); });
-  }
-}
+void TraceRecorder::OnAttach(Machine& machine) { clock_ = &machine.clock(); }
 
 void TraceRecorder::OnBootDone(System& system,
                                std::shared_ptr<const obs::NameTable> names) {
@@ -161,23 +131,23 @@ void TraceRecorder::OnBootDone(System& system,
   names_ = std::move(names);
   // Close the boot attribution bucket: everything from here on is charged
   // to idle or a thread.
-  ChargeToNow();
   boot_done_ = true;
+  Settle();
   Emit(EventType::kBootDone, -1, 0, 0, 0, 0);
 }
 
 void TraceRecorder::OnCompartmentCall(const GuestThread& t, int caller,
                                       int export_index) {
-  ChargeToNow();
+  Settle();
   NoteThread(t.id);
   const int callee = t.current_compartment;
   Emit(EventType::kCompartmentCall, static_cast<int16_t>(t.id), caller,
        callee, export_index, t.compartment_stack.size());
-  ++profile_[callee].calls;
+  ++calls_[callee];
 }
 
 void TraceRecorder::OnCompartmentReturn(const GuestThread& t, int callee) {
-  ChargeToNow();
+  Settle();
   NoteThread(t.id);
   Emit(EventType::kCompartmentReturn, static_cast<int16_t>(t.id), callee,
        t.current_compartment, 0, t.compartment_stack.size());
@@ -185,43 +155,37 @@ void TraceRecorder::OnCompartmentReturn(const GuestThread& t, int callee) {
 
 void TraceRecorder::OnLibraryCall(const GuestThread& t, int library,
                                   int export_index) {
-  ChargeToNow();
   Emit(EventType::kLibraryCall, static_cast<int16_t>(t.id), library,
        export_index, 0, 0);
 }
 
 void TraceRecorder::OnTrap(const obs::TrapEvent& e) {
-  ChargeToNow();
   Emit(EventType::kTrap, static_cast<int16_t>(e.thread.id),
        static_cast<int>(e.cause), e.compartment, 0, 0);
 }
 
 void TraceRecorder::OnContextSwitch(int from_thread, int to_thread) {
-  ChargeToNow();
   Emit(EventType::kContextSwitch, static_cast<int16_t>(from_thread),
        from_thread, to_thread, 0, 0);
   current_thread_ = to_thread;
+  Settle();
 }
 
 void TraceRecorder::OnThreadWake(int thread) {
-  ChargeToNow();
   Emit(EventType::kThreadWake, static_cast<int16_t>(thread), thread, 0, 0, 0);
 }
 
 void TraceRecorder::OnThreadBlock(int thread, Address futex_addr) {
-  ChargeToNow();
   Emit(EventType::kThreadBlock, static_cast<int16_t>(thread), thread, 0, 0,
        futex_addr);
 }
 
 void TraceRecorder::OnThreadSleep(int thread, Cycles wake_at) {
-  ChargeToNow();
   Emit(EventType::kThreadSleep, static_cast<int16_t>(thread), thread, 0, 0,
        wake_at);
 }
 
 void TraceRecorder::OnHeapAlloc(const obs::HeapEvent& e) {
-  ChargeToNow();
   heap_live_bytes_ += e.bytes;
   ++heap_allocs_;
   Emit(EventType::kHeapAlloc, static_cast<int16_t>(e.thread), e.compartment,
@@ -229,7 +193,6 @@ void TraceRecorder::OnHeapAlloc(const obs::HeapEvent& e) {
 }
 
 void TraceRecorder::OnHeapFree(const obs::HeapEvent& e) {
-  ChargeToNow();
   heap_live_bytes_ -= std::min<uint64_t>(heap_live_bytes_, e.bytes);
   ++heap_frees_;
   Emit(EventType::kHeapFree, static_cast<int16_t>(e.thread), e.compartment,
@@ -237,25 +200,21 @@ void TraceRecorder::OnHeapFree(const obs::HeapEvent& e) {
 }
 
 void TraceRecorder::OnQuotaDenied(const obs::HeapEvent& e) {
-  ChargeToNow();
   Emit(EventType::kQuotaExhausted, static_cast<int16_t>(e.thread),
        e.compartment, static_cast<int32_t>(e.quota), e.bytes, 0);
 }
 
 void TraceRecorder::OnSweepBegin(uint32_t epoch) {
-  ChargeToNow();
   Emit(EventType::kSweepBegin, -1, 0, 0, 0, epoch);
 }
 
 void TraceRecorder::OnSweepEnd(uint32_t epoch, uint64_t granules) {
-  ChargeToNow();
   ++sweeps_completed_;
   granules_scanned_ += granules;
   Emit(EventType::kSweepEnd, -1, 0, 0, static_cast<int64_t>(granules), epoch);
 }
 
 void TraceRecorder::OnNicTx(size_t bytes, const flow::FlowId& flow) {
-  ChargeToNow();
   ++nic_tx_frames_;
   nic_tx_bytes_ += bytes;
   Emit(EventType::kNicTx, static_cast<int16_t>(current_thread_), flow.origin,
@@ -263,7 +222,6 @@ void TraceRecorder::OnNicTx(size_t bytes, const flow::FlowId& flow) {
 }
 
 void TraceRecorder::OnNicRx(size_t bytes, const flow::FlowId& flow) {
-  ChargeToNow();
   ++nic_rx_frames_;
   nic_rx_bytes_ += bytes;
   Emit(EventType::kNicRx, static_cast<int16_t>(current_thread_), flow.origin,
@@ -274,7 +232,7 @@ void TraceRecorder::OnFabricFrame(Cycles at, int src_port, int dst_port,
                                   size_t bytes, int32_t flow_origin,
                                   uint32_t flow_seq) {
   // d packs the full flow key (flow::FlowId::key() layout: origin as u16 in
-  // the high lane) so one operand survives the 32-byte event.
+  // the high lane) so one operand survives the 40-byte event.
   const uint64_t key =
       (static_cast<uint64_t>(static_cast<uint16_t>(flow_origin)) << 32) |
       flow_seq;
@@ -284,7 +242,6 @@ void TraceRecorder::OnFabricFrame(Cycles at, int src_port, int dst_port,
 
 void TraceRecorder::OnFrameDrop(uint8_t reason, size_t bytes,
                                 const flow::FlowId& flow) {
-  ChargeToNow();
   ++frames_dropped_;
   Emit(EventType::kFrameDrop, static_cast<int16_t>(current_thread_),
        flow.origin, reason, static_cast<int64_t>(bytes), flow.seq);
@@ -298,46 +255,66 @@ void TraceRecorder::OnFrameDropAt(Cycles at, uint8_t reason, size_t bytes,
 }
 
 void TraceRecorder::OnCrashRecord(const obs::TrapEvent& e, uint64_t seq) {
-  ChargeToNow();
   Emit(EventType::kCrashRecord, static_cast<int16_t>(e.thread.id),
        static_cast<int>(e.cause), e.compartment,
        static_cast<int64_t>(e.fault_address), seq);
 }
 
 void TraceRecorder::OnIdleFastForward(Cycles span) {
-  ChargeToNow();
   Emit(EventType::kIdleFastForward, /*thread=*/-1, 0, 0,
        static_cast<int64_t>(span), 0);
 }
 
-const std::map<int, TraceRecorder::CompartmentProfile>&
-TraceRecorder::Profile() {
-  ChargeToNow();
-  return profile_;
+std::map<std::vector<int>, Cycles> TraceRecorder::CollapsedStacks() const {
+  std::map<std::vector<int>, Cycles> stacks = collapsed_;
+  if (const Cycles span = Unsettled()) {
+    stacks[context_] += span;
+  }
+  return stacks;
 }
 
-Cycles TraceRecorder::boot_cycles() {
-  ChargeToNow();
-  return boot_cycles_;
+std::map<int, TraceRecorder::CompartmentProfile> TraceRecorder::ProfileOf(
+    const std::map<std::vector<int>, Cycles>& stacks) const {
+  std::map<int, CompartmentProfile> profile;
+  for (const auto& [callee, calls] : calls_) {
+    profile[callee].calls = calls;
+  }
+  for (const auto& [key, cycles] : stacks) {
+    // The frames a span ran in follow the thread id in a thread's key; <boot>
+    // and <idle> are one frame. Self goes to the innermost, and `total`
+    // counts each distinct frame once per running stack even under
+    // recursion, so Σ total can exceed wall cycles but never double-counts
+    // one frame chain.
+    const auto frames = key.begin() + (key.size() > 1 ? 1 : 0);
+    profile[key.back()].self += cycles;
+    for (auto frame = frames; frame != key.end(); ++frame) {
+      if (std::find(frames, frame, *frame) == frame) {
+        profile[*frame].total += cycles;
+      }
+    }
+  }
+  return profile;
 }
 
-Cycles TraceRecorder::idle_cycles() {
-  ChargeToNow();
-  return idle_cycles_;
+std::map<int, TraceRecorder::CompartmentProfile> TraceRecorder::Profile()
+    const {
+  return ProfileOf(CollapsedStacks());
 }
 
-Cycles TraceRecorder::attributed_cycles() {
-  ChargeToNow();
+Cycles TraceRecorder::boot_cycles() const {
+  return ContextCycles(CollapsedStacks(), obs::kContextBoot);
+}
+
+Cycles TraceRecorder::idle_cycles() const {
+  return ContextCycles(CollapsedStacks(), obs::kContextIdle);
+}
+
+Cycles TraceRecorder::attributed_cycles() const {
   Cycles sum = 0;
-  for (const auto& [id, p] : profile_) {
+  for (const auto& [id, p] : Profile()) {
     sum += p.self;
   }
   return sum;
-}
-
-const std::map<std::vector<int>, Cycles>& TraceRecorder::CollapsedStacks() {
-  ChargeToNow();
-  return collapsed_;
 }
 
 std::string TraceRecorder::CompartmentName(int id) const {
@@ -374,24 +351,30 @@ void TraceRecorder::SerializeState(snap::Writer& w) const {
     w.U8(static_cast<uint8_t>(e.type));
     w.U16(static_cast<uint16_t>(e.thread));
   }
-  // Profiler state, serialized raw (no settlement): both sides of a verify
-  // comparison are serialized at the same point of the same deterministic
-  // run, so their pending unsettled spans match too.
+  // Profiler state as Settle() would leave it now: the unsettled cycles are
+  // charged to the context they are running in.
+  const Cycles unsettled = Unsettled();
+  const std::map<std::vector<int>, Cycles> collapsed = CollapsedStacks();
+  const std::map<int, CompartmentProfile> profile = ProfileOf(collapsed);
+  size_t thread_hwm = thread_hwm_;
+  if (unsettled > 0 && context_.size() > 1) {
+    thread_hwm = std::max(thread_hwm, static_cast<size_t>(context_[0]) + 1);
+  }
   w.Bool(boot_done_);
   w.I32(current_thread_);
-  w.U64(settled_at_);
-  w.U64(boot_cycles_);
-  w.U64(idle_cycles_);
-  obs::SerializeThreadStacks(w, threads_, thread_hwm_);
-  w.U32(static_cast<uint32_t>(profile_.size()));
-  for (const auto& [id, p] : profile_) {
+  w.U64(settled_at_ + unsettled);
+  w.U64(ContextCycles(collapsed, obs::kContextBoot));
+  w.U64(ContextCycles(collapsed, obs::kContextIdle));
+  obs::SerializeThreadStacks(w, threads_, thread_hwm);
+  w.U32(static_cast<uint32_t>(profile.size()));
+  for (const auto& [id, p] : profile) {
     w.I32(id);
     w.U64(p.self);
     w.U64(p.total);
     w.U64(p.calls);
   }
-  w.U32(static_cast<uint32_t>(collapsed_.size()));
-  for (const auto& [key, cycles] : collapsed_) {
+  w.U32(static_cast<uint32_t>(collapsed.size()));
+  for (const auto& [key, cycles] : collapsed) {
     w.U32(static_cast<uint32_t>(key.size()));
     for (int c : key) {
       w.I32(c);
@@ -409,10 +392,6 @@ void TraceRecorder::SerializeState(snap::Writer& w) const {
   w.U64(nic_rx_frames_);
   w.U64(nic_rx_bytes_);
   w.U64(frames_dropped_);
-}
-
-void Attach(Machine& machine, TraceRecorder* recorder) {
-  machine.Attach(recorder);
 }
 
 }  // namespace cheriot::trace

@@ -13,9 +13,9 @@
 // cycle model. It never ticks the clock, never touches simulated memory, and
 // never consults host state, so enabling tracing cannot move a single guest
 // cycle. The zero-cost-when-off rule is structural: the recorder is an
-// obs::Observer, every choke point is an empty-list check on the machine's
-// observers, and the profiler's clock hook is only registered when a
-// recorder is attached.
+// obs::Observer and every choke point is an empty-list check on the machine's
+// observers. The profiler rides the same events: it registers nothing on the
+// clock and settles only where the running context changes (DESIGN.md §8.3).
 #ifndef SRC_TRACE_TRACE_H_
 #define SRC_TRACE_TRACE_H_
 
@@ -96,9 +96,6 @@ struct TraceOptions {
   // oldest events are dropped (and counted) once it is full,
   // deterministically.
   size_t ring_capacity = 1 << 16;
-  // Cycle-attribution profiler (per-compartment self/total + collapsed
-  // stacks). Requires a clock, i.e. Attach().
-  bool profile = true;
 };
 
 class TraceRecorder : public obs::Observer {
@@ -122,11 +119,13 @@ class TraceRecorder : public obs::Observer {
   void SerializeState(snap::Writer& w) const override;
 
   // --- Choke-point events (obs::Observer) -----------------------------------
-  // Every event first settles the profiler (charging the cycles elapsed
-  // since the last settlement to the *outgoing* context), then records.
-  // The profiler charges against the kernel's compartment stacks, which the
-  // switcher has already pushed (call) or popped (return) when the hook
-  // runs; the clock hook has settled every earlier cycle by then.
+  // The profiler's context (boot done, the current thread and its
+  // compartment_stack) changes only at boot done, a context switch and the
+  // switcher's stack push (call) and pop (return), and every stack change is
+  // reported before the clock ticks again (obs::Observer). Those four events
+  // settle the profiler: the cycles since the last settlement all ran in the
+  // context captured there, so they are charged to it, and then the live
+  // context is captured.
   void OnAttach(Machine& machine) override;
   void OnBootDone(System& system,
                   std::shared_ptr<const obs::NameTable> names) override;
@@ -160,7 +159,7 @@ class TraceRecorder : public obs::Observer {
                    const flow::FlowId& flow) override;
   // Idle fast-forward span (kernel jumped the clock `span` cycles to the
   // next event with no runnable thread). The span is charged to the idle
-  // context by the ordinary settlement; the event only makes the jump
+  // context like any other idle cycles; the event only makes the jump
   // visible in exported traces.
   void OnIdleFastForward(Cycles span) override;
 
@@ -173,10 +172,6 @@ class TraceRecorder : public obs::Observer {
   void OnFrameDropAt(Cycles at, uint8_t reason, size_t bytes,
                      int32_t flow_origin, uint32_t flow_seq);
 
-  // Profiler clock hook: charges clock->now() - last settlement to the
-  // current context. Registered by OnAttach(); also safe to call manually.
-  void ChargeToNow();
-
   // --- Read side (exporters, tests) ----------------------------------------
   // Events in emit order (oldest first, post-drop).
   std::vector<Event> Events() const { return ring_.ToVector(); }
@@ -184,17 +179,20 @@ class TraceRecorder : public obs::Observer {
   uint64_t dropped() const { return ring_.dropped(); }
   uint64_t emitted() const { return emitted_; }
 
-  // Settles the profiler and returns per-compartment attribution. The sum
-  // boot_cycles + idle_cycles + Σ self over all contexts equals the clock's
-  // current cycle exactly (asserted by trace_test).
-  const std::map<int, CompartmentProfile>& Profile();
-  Cycles boot_cycles();
-  Cycles idle_cycles();
-  Cycles attributed_cycles();
-
   // Collapsed call stacks ("thread;compA;compB <cycles>" keys as id vectors:
-  // [thread, comp, comp...]) for flamegraph rendering.
-  const std::map<std::vector<int>, Cycles>& CollapsedStacks();
+  // [thread, comp, comp...], or [<boot>] and [<idle>]) for flamegraph
+  // rendering. The cycles since the last settlement are included, charged
+  // to the context they are running in.
+  std::map<std::vector<int>, Cycles> CollapsedStacks() const;
+
+  // Per-compartment attribution, derived from CollapsedStacks() and the call
+  // counts. The <boot> and <idle> pseudo-compartments have entries too, and
+  // Σ self over every entry (attributed_cycles) equals the clock's current
+  // cycle exactly (asserted by trace_test).
+  std::map<int, CompartmentProfile> Profile() const;
+  Cycles boot_cycles() const;
+  Cycles idle_cycles() const;
+  Cycles attributed_cycles() const;
 
   // --- Aggregates (deterministic, maintained on emit) -----------------------
   uint64_t heap_live_bytes() const { return heap_live_bytes_; }
@@ -231,8 +229,12 @@ class TraceRecorder : public obs::Observer {
   // Raises the thread high-water mark: the number of per-thread stacks TRCE
   // carries (every thread the recorder has charged or seen call).
   void NoteThread(int thread);
-  // Points target_ at the buckets of the current context.
-  void Retarget(const std::vector<int>* stack);
+  // The cycles since the last settlement (none without a clock).
+  Cycles Unsettled() const;
+  // Charges the unsettled cycles to context_, then captures the live context.
+  void Settle();
+  std::map<int, CompartmentProfile> ProfileOf(
+      const std::map<std::vector<int>, Cycles>& stacks) const;
 
   TraceOptions options_;
   const CycleClock* clock_ = nullptr;
@@ -250,30 +252,14 @@ class TraceRecorder : public obs::Observer {
   bool boot_done_ = false;
   int current_thread_ = -1;
   Cycles settled_at_ = 0;
-  std::map<int, CompartmentProfile> profile_;
+  // The context captured at the last settlement, as its collapsed_ key:
+  // [<boot>] or [<idle>], else [thread, frames...], where an empty stack is
+  // the one frame kContextKernel.
+  std::vector<int> context_{obs::kContextBoot};
+  // The one cycle accumulator, per context; an entry appears once a nonzero
+  // span is charged to it.
   std::map<std::vector<int>, Cycles> collapsed_;
-  Cycles boot_cycles_ = 0;
-  Cycles idle_cycles_ = 0;
-  // Where ChargeToNow puts a span: the buckets of the context it last
-  // charged (boot, idle, kernel, or a thread and its compartment stack).
-  // Map nodes never move and nothing is erased, and the recorder is not
-  // copyable, so the pointers stay valid; a full compare of the context on
-  // every charge decides when to rebuild it.
-  struct ChargeTarget {
-    bool valid = false;
-    // The context: boot_done_, current_thread_ and the thread's stack.
-    bool boot_done = false;
-    int thread = -1;
-    std::vector<int> stack;
-    // Its collapsed_ key: [boot or idle], or [thread, frames...] where an
-    // empty stack is the one frame kContextKernel.
-    std::vector<int> key;
-    Cycles* context_cycles = nullptr;  // &boot_cycles_ or &idle_cycles_
-    CompartmentProfile* self = nullptr;
-    std::vector<CompartmentProfile*> totals;  // each distinct frame once
-    Cycles* collapsed = nullptr;
-  };
-  ChargeTarget target_;
+  std::map<int, uint64_t> calls_;  // cross-compartment entries per callee
 
   // Aggregates.
   uint64_t heap_live_bytes_ = 0;
@@ -290,11 +276,6 @@ class TraceRecorder : public obs::Observer {
   std::shared_ptr<const obs::NameTable> names_ =
       std::make_shared<obs::NameTable>();
 };
-
-// Attaches a recorder to a machine's observers and registers the profiler's
-// clock hook. Must be called before System::Boot() so boot cycles are
-// attributed; the recorder must outlive the machine's last tick.
-void Attach(Machine& machine, TraceRecorder* recorder);
 
 }  // namespace cheriot::trace
 

@@ -80,7 +80,7 @@ TEST(DebugTest, PerThreadPeakStackReachesMetricsSnapshot) {
   auto shared = std::make_shared<Shared>();
   Machine machine;
   trace::TraceRecorder rec;
-  trace::Attach(machine, &rec);
+  machine.Attach(&rec);
 
   ImageBuilder b("debug-metrics");
   b.Compartment("app")

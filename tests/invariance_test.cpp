@@ -58,7 +58,7 @@ struct Trace {
 Trace MemoryWorkload(trace::TraceRecorder* rec = nullptr) {
   Machine machine;
   if (rec) {
-    trace::Attach(machine, rec);
+    machine.Attach(rec);
   }
   Memory& mem = machine.memory();
   const Address base = mem.sram_base();
@@ -177,7 +177,7 @@ Trace MemoryWorkload(trace::TraceRecorder* rec = nullptr) {
 Trace KernelWorkload(trace::TraceRecorder* rec = nullptr) {
   Machine machine;
   if (rec) {
-    trace::Attach(machine, rec);
+    machine.Attach(rec);
   }
   auto traps = std::make_shared<std::vector<int>>();
   ImageBuilder b("invariance-kernel");
@@ -259,7 +259,7 @@ Trace KernelWorkload(trace::TraceRecorder* rec = nullptr) {
 Trace AllocatorWorkload(trace::TraceRecorder* rec = nullptr) {
   Machine machine;
   if (rec) {
-    trace::Attach(machine, rec);
+    machine.Attach(rec);
   }
   auto traps = std::make_shared<std::vector<int>>();
   ImageBuilder b("invariance-alloc");

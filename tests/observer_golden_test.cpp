@@ -261,7 +261,7 @@ TEST(ObserverGoldenTest, ChromeTraceOfEveryEventType) {
   Machine machine;
   trace::TraceRecorder board;
   board.SetOwner("board0", 0);
-  trace::Attach(machine, &board);
+  machine.Attach(&board);
   ImageBuilder b("every-event");
   b.Library("mathlib").Export(
       "square", [](CompartmentCtx&, const std::vector<Capability>&) {

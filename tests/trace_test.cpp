@@ -122,7 +122,7 @@ TEST(TraceTest, AttributedCyclesEqualCycleCounterOnEveryShippedImage) {
 TEST(TraceTest, ProfilerChargesNestedCallsToCalleeSelfAndCallerTotal) {
   Machine machine;
   trace::TraceRecorder rec;
-  trace::Attach(machine, &rec);
+  machine.Attach(&rec);
 
   ImageBuilder b("trace-profile");
   b.Compartment("leaf").Globals(64).Export(
@@ -199,15 +199,16 @@ TEST(TraceTest, ProfilerChargesNestedCallsToCalleeSelfAndCallerTotal) {
   EXPECT_TRUE(found_chain);
 }
 
-// The profiler keeps the buckets of the last context it charged and reuses
-// them while the context is unchanged. Every kind of context change must
-// still move the next span: a compartment stack rewritten under the same
-// thread, depth and top with no observer event between the ticks, a
-// recursive stack, the kernel, another thread with an equal stack, and idle.
+// The profiler charges the cycles since its last settlement to the context
+// it captured there, at the next event that can change the context. Every
+// kind of context change must move the next span: a compartment stack
+// rewritten under the same thread, depth and top, a recursive stack, the
+// kernel, another thread with an equal stack, and idle. Each stack rewrite
+// is followed by the event the switcher raises after its own push or pop.
 TEST(TraceTest, ProfilerChargesEachSpanToTheContextItRanIn) {
   Machine machine;
   trace::TraceRecorder rec;
-  trace::Attach(machine, &rec);
+  machine.Attach(&rec);
   ImageBuilder image("charge-target");
   for (const char* name : {"a", "b", "c"}) {
     image.Compartment(name).Globals(64).Export(
@@ -235,19 +236,25 @@ TEST(TraceTest, ProfilerChargesEachSpanToTheContextItRanIn) {
   const auto tick = [&](Cycles n) { machine.clock().Tick(n); };
   GuestThread& t0 = sys.threads()[0];
   GuestThread& t1 = sys.threads()[1];
+  const auto call = [&](GuestThread& t, std::vector<int> stack) {
+    t.compartment_stack = std::move(stack);
+    t.current_compartment = t.compartment_stack.back();
+    rec.OnCompartmentCall(t, -1, 0);
+  };
 
   tick(100);  // idle
   rec.OnContextSwitch(-1, 0);
-  t0.compartment_stack = {a, c};
+  call(t0, {a, c});
   tick(1'000);
-  t0.compartment_stack = {b, c};  // same thread, depth and top
+  call(t0, {b, c});  // same thread, depth and top
   tick(2'000);
   t0.compartment_stack = {};  // kernel
+  rec.OnCompartmentReturn(t0, c);
   tick(300);
-  t0.compartment_stack = {c, a, c};  // recursion: c's total counts once
+  call(t0, {c, a, c});  // recursion: c's total counts once
   tick(50);
   rec.OnContextSwitch(0, 1);
-  t1.compartment_stack = {b, c};  // another thread, an equal stack
+  call(t1, {b, c});  // another thread, an equal stack
   tick(400);
   rec.OnContextSwitch(1, -1);
   tick(500);  // idle again
