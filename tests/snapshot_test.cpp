@@ -313,6 +313,21 @@ TEST(SnapshotGoldenTest, PostBootBoardBlobIsByteStable) {
                      }});
 }
 
+// Quickstart's only thread switched in at cycle 8 and makes its first
+// compartment call at cycle 202, so at cycle 100 the trace profiler holds an
+// unsettled span on a thread it has not charged before. TRCE must carry that
+// span and that thread's stack exactly as a settlement at cycle 100 would.
+TEST(SnapshotGoldenTest, TraceSectionInAThreadsFirstCyclesIsByteStable) {
+  Board board(BuildImage("quickstart"), {});
+  board.EnableTrace();
+  board.Boot();
+  board.StepTo(100);
+  std::vector<uint8_t> blob;
+  board.Snapshot(blob);
+  const snap::Container c = snap::Container::Parse(blob);
+  EXPECT_EQ(Fnv1a(c.Require(snap::kSecTrace).body), 0xcc9ea11d6ce5d139ull);
+}
+
 // --- Trace / health exports survive a restore byte-identically ------------
 
 TEST(SnapshotTest, TraceAndHealthExportsAreByteIdenticalAfterRestore) {
