@@ -101,12 +101,10 @@ void ObserverList::SerializeOptions(snap::Writer& w) const {
   });
 }
 
-void ObserverList::AppendSections(snap::Container& c) const {
+void ObserverList::WriteSections(snap::ContainerWriter& c) const {
   ForEachRecorder([&](uint32_t section, const Observer* o) {
     if (o != nullptr) {
-      snap::Writer w;
-      o->SerializeState(w);
-      c.sections.push_back({section, w.Take()});
+      c.Add(section, [o](snap::Writer& w) { o->SerializeState(w); });
     }
   });
 }

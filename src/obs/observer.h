@@ -38,7 +38,7 @@ struct FlowId;
 
 namespace cheriot::snap {
 class Writer;
-struct Container;
+class ContainerWriter;
 }  // namespace cheriot::snap
 
 namespace cheriot::obs {
@@ -201,7 +201,7 @@ class ObserverList {
   // options) and one state section per recorder.
   uint32_t SnapshotFlags() const;
   void SerializeOptions(snap::Writer& w) const;
-  void AppendSections(snap::Container& c) const;
+  void WriteSections(snap::ContainerWriter& c) const;
 
  private:
   template <typename F>

@@ -165,13 +165,6 @@ void SerializeFrameList(snap::Writer& w,
   }
 }
 
-void AddSection(snap::Container& c, uint32_t id,
-                const std::function<void(snap::Writer&)>& fill) {
-  snap::Writer w;
-  fill(w);
-  c.sections.push_back({id, w.Take()});
-}
-
 void SerializeBoardOptions(snap::Writer& w, const BoardOptions& o) {
   w.I32(o.index);
   w.Bytes(o.mac.data(), o.mac.size());
@@ -213,45 +206,56 @@ void Board::SerializeBoardSection(snap::Writer& w) const {
   }
 }
 
-void Board::BuildStateSections(snap::Container& c) {
+void Board::WriteStateSections(snap::ContainerWriter& c) {
   CHERIOT_CHECK(booted_, "Board state sections require a booted board");
-  AddSection(c, snap::kSecClock,
-             [this](snap::Writer& w) { w.U64(machine_.clock().now()); });
-  AddSection(c, snap::kSecMemory,
-             [this](snap::Writer& w) { machine_.memory().SerializeState(w); });
-  AddSection(c, snap::kSecIrq, [this](snap::Writer& w) {
+  c.Add(snap::kSecClock,
+        [this](snap::Writer& w) { w.U64(machine_.clock().now()); });
+  c.Add(snap::kSecMemory,
+        [this](snap::Writer& w) { machine_.memory().SerializeState(w); });
+  c.Add(snap::kSecIrq, [this](snap::Writer& w) {
     w.U32(machine_.irqs().pending_mask());
   });
-  AddSection(c, snap::kSecDevices, [this](snap::Writer& w) {
+  c.Add(snap::kSecDevices, [this](snap::Writer& w) {
     machine_.uart().SerializeState(w);
     machine_.leds().SerializeState(w);
     machine_.timer().SerializeState(w);
     machine_.ethernet().SerializeState(w);
     machine_.entropy().SerializeState(w);
   });
-  AddSection(c, snap::kSecRevoker,
-             [this](snap::Writer& w) { machine_.revoker().SerializeState(w); });
-  AddSection(c, snap::kSecKernel,
-             [this](snap::Writer& w) { system_.SerializeState(w); });
-  AddSection(c, snap::kSecSched,
-             [this](snap::Writer& w) { system_.sched().SerializeState(w); });
-  AddSection(c, snap::kSecSwitcher, [this](snap::Writer& w) {
+  c.Add(snap::kSecRevoker,
+        [this](snap::Writer& w) { machine_.revoker().SerializeState(w); });
+  c.Add(snap::kSecKernel,
+        [this](snap::Writer& w) { system_.SerializeState(w); });
+  c.Add(snap::kSecSched,
+        [this](snap::Writer& w) { system_.sched().SerializeState(w); });
+  c.Add(snap::kSecSwitcher, [this](snap::Writer& w) {
     w.U64(system_.switcher().trap_count());
   });
-  AddSection(c, snap::kSecAlloc,
-             [this](snap::Writer& w) { system_.alloc().SerializeState(w); });
-  AddSection(c, snap::kSecBoard,
-             [this](snap::Writer& w) { SerializeBoardSection(w); });
+  c.Add(snap::kSecAlloc,
+        [this](snap::Writer& w) { system_.alloc().SerializeState(w); });
+  c.Add(snap::kSecBoard,
+        [this](snap::Writer& w) { SerializeBoardSection(w); });
+}
+
+size_t Board::SnapshotBytesHint() const {
+  // SRAM dominates a board's blob, then its trace ring. The SRAM section adds
+  // the tag and revocation bitmaps (1/32 of SRAM) and a tagged granule's
+  // capability; a ring event takes 35 bytes, under sizeof(trace::Event).
+  const size_t sram = options_.machine.sram_size;
+  return sram + sram / 8 +
+         (trace_ != nullptr ? trace_->event_count() * sizeof(trace::Event)
+                            : 0);
 }
 
 std::vector<uint8_t> Board::SerializeCrashScene() {
-  snap::Container c;
-  c.kind = snap::kScene;
-  BuildStateSections(c);
-  return c.Assemble();
+  snap::Writer w;
+  w.Reserve(SnapshotBytesHint());
+  snap::ContainerWriter c(w, snap::kScene, 0);
+  WriteStateSections(c);
+  return w.Take();
 }
 
-void Board::BuildSnapshotContainer(snap::Container& c) {
+void Board::WriteSnapshot(snap::Writer& w) {
   CHERIOT_CHECK(booted_, "Board::Snapshot() before Boot()");
   bool any_started = false;
   for (const auto& t : system_.threads()) {
@@ -260,17 +264,18 @@ void Board::BuildSnapshotContainer(snap::Container& c) {
   CHERIOT_CHECK(op_log_enabled_ || !any_started,
                 "Board::Snapshot() mid-run with the replay log disabled "
                 "produces an unrestorable snapshot");
-  c.kind = snap::kBoard;
-  c.flags = snap::kHasReplayLog | machine_.observers().SnapshotFlags();
-  AddSection(c, snap::kSecOptions, [this](snap::Writer& w) {
+  snap::ContainerWriter c(
+      w, snap::kBoard,
+      snap::kHasReplayLog | machine_.observers().SnapshotFlags());
+  c.Add(snap::kSecOptions, [this](snap::Writer& w) {
     SerializeBoardOptions(w, options_);
     machine_.observers().SerializeOptions(w);
   });
-  AddSection(c, snap::kSecBootInfo,
-             [this](snap::Writer& w) { SerializeBootInfo(w, system_.boot()); });
-  BuildStateSections(c);
-  machine_.observers().AppendSections(c);
-  AddSection(c, snap::kSecReplayLog, [this](snap::Writer& w) {
+  c.Add(snap::kSecBootInfo,
+        [this](snap::Writer& w) { SerializeBootInfo(w, system_.boot()); });
+  WriteStateSections(c);
+  machine_.observers().WriteSections(c);
+  c.Add(snap::kSecReplayLog, [this](snap::Writer& w) {
     w.U64(op_log_.size());
     for (const BoardOp& op : op_log_) {
       w.U8(static_cast<uint8_t>(op.kind));
@@ -283,9 +288,10 @@ void Board::BuildSnapshotContainer(snap::Container& c) {
 }
 
 void Board::Snapshot(std::vector<uint8_t>& out) {
-  snap::Container c;
-  BuildSnapshotContainer(c);
-  out = c.Assemble();
+  snap::Writer w;
+  w.Reserve(SnapshotBytesHint());
+  WriteSnapshot(w);
+  out = w.Take();
 }
 
 RecorderOptions ReadRecorderOptions(snap::Reader& r) {
@@ -316,7 +322,7 @@ void CheckSramSection(const snap::Container& state,
 
 std::unique_ptr<Board> Board::Restore(const uint8_t* data, size_t size,
                                       FirmwareImage image) {
-  const snap::Container c = snap::Container::Parse(data, size);
+  const snap::Container c = snap::Container::Parse({data, size});
   if (c.kind != snap::kBoard) {
     throw snap::SnapshotError("not a board snapshot");
   }
@@ -390,10 +396,11 @@ std::unique_ptr<Board> Board::Restore(const uint8_t* data, size_t size,
   // Verify: every section of the restored board must re-serialize to the
   // exact bytes of the snapshot. Any drift between serialized state and
   // reconstructed state is caught here, not at cycle 10^9 of the resumed
-  // run.
-  snap::Container check;
-  board->BuildSnapshotContainer(check);
-  snap::VerifySections(c, check);
+  // run. The rebuild is written into one buffer the size of the saved blob.
+  snap::Writer check;
+  check.Reserve(size);
+  board->WriteSnapshot(check);
+  snap::VerifySections(c, snap::Container::Parse(check.data()));
   return board;
 }
 

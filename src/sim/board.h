@@ -191,10 +191,13 @@ class Board {
   void set_op_log_enabled(bool on) { op_log_enabled_ = on; }
   size_t op_log_size() const { return op_log_.size(); }
 
-  // Serializes the machine/kernel state sections (no OPTS/BOOT/RLOG) into
-  // `c` — the building block shared by Snapshot(), the Fleet's embedded
-  // per-board blobs and the forensics crash-scene capture.
-  void BuildStateSections(snap::Container& c);
+  // Writes the machine/kernel state sections (no OPTS/BOOT/RLOG) into `c` —
+  // the building block shared by Snapshot(), the Fleet's embedded per-board
+  // containers and the forensics crash-scene capture.
+  void WriteStateSections(snap::ContainerWriter& c);
+  // About the bytes Snapshot() writes (a little more, as a rule), for
+  // snap::Writer::Reserve.
+  size_t SnapshotBytesHint() const;
 
   // Installs the schedule-exploration arbiter (src/kernel/schedule_arbiter.h)
   // on this board: kernel/scheduler decision points plus the NIC's
@@ -242,7 +245,7 @@ class Board {
   void SerializeBoardSection(snap::Writer& w) const;
   // Full container for Snapshot(): OPTS + BOOT + state sections + recorder
   // sections + RLOG.
-  void BuildSnapshotContainer(snap::Container& c);
+  void WriteSnapshot(snap::Writer& w);
   std::vector<uint8_t> SerializeCrashScene();
 
   BoardOptions options_;

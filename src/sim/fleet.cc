@@ -502,15 +502,15 @@ std::vector<const cov::CovRecorder*> Fleet::CovRecorders() {
   return out;
 }
 
-void Fleet::BuildSnapshotContainer(snap::Container& c) {
+void Fleet::WriteSnapshot(snap::Writer& w) {
   CHERIOT_CHECK(booted_, "Fleet::Snapshot() before Boot()");
   LogAdvance();
-  c.kind = snap::kFleet;
   // Every board carries the same recorder set, so board 0's observers
   // describe the fleet's (flags here, the options block in FLET).
   const obs::ObserverList& recorders = boards_.front()->machine().observers();
-  c.flags = snap::kHasReplayLog | recorders.SnapshotFlags();
-  {
+  snap::ContainerWriter c(w, snap::kFleet,
+                          snap::kHasReplayLog | recorders.SnapshotFlags());
+  c.Add(snap::kSecFleet, [&](snap::Writer& w) {
     // Effective configuration + fleet-level state. host_threads is
     // deliberately absent: it is a host-performance knob with bit-identical
     // fingerprints (pinned by tests/fleet_test.cpp), so snapshots taken at
@@ -519,7 +519,6 @@ void Fleet::BuildSnapshotContainer(snap::Container& c) {
     // fast-forwarded board skips the idle quantum timer, so its compare
     // register and pending-IRQ mask differ from a fully stepped board's),
     // so a restore must replay in the mode the snapshot was taken in.
-    snap::Writer w;
     w.U64(options_.epoch);
     w.U64(options_.board_link_latency);
     const net::WorldOptions& wo = options_.world;
@@ -542,36 +541,27 @@ void Fleet::BuildSnapshotContainer(snap::Container& c) {
     w.U32(static_cast<uint32_t>(boards_.size()));
     w.U64(now_);
     w.U64(frames_exchanged_);
-    c.sections.push_back({snap::kSecFleet, w.Take()});
-  }
-  {
-    snap::Writer w;
-    fabric_.SerializeState(w);
-    c.sections.push_back({snap::kSecFabric, w.Take()});
-  }
+  });
+  c.Add(snap::kSecFabric,
+        [this](snap::Writer& w) { fabric_.SerializeState(w); });
   if (fabric_trace_) {
-    snap::Writer w;
-    fabric_trace_->SerializeState(w);
-    c.sections.push_back({snap::kSecTrace, w.Take()});
+    c.Add(snap::kSecTrace,
+          [this](snap::Writer& w) { fabric_trace_->SerializeState(w); });
   }
-  {
+  c.Add(snap::kSecFleetBoards, [this](snap::Writer& w) {
     // Every board's state sections as a nested container, plus its recorder
     // rings — the restore verify then doubles as the proof that trace and
     // health exports survive a restore byte-identically.
-    snap::Writer w;
     w.U32(static_cast<uint32_t>(boards_.size()));
     for (auto& board : boards_) {
-      snap::Container bc;
-      bc.kind = snap::kBoard;
-      bc.flags = snap::kEmbedded;
-      board->BuildStateSections(bc);
-      board->machine().observers().AppendSections(bc);
-      w.Blob(bc.Assemble());
+      w.Sized([&board](snap::Writer& w) {
+        snap::ContainerWriter bc(w, snap::kBoard, snap::kEmbedded);
+        board->WriteStateSections(bc);
+        board->machine().observers().WriteSections(bc);
+      });
     }
-    c.sections.push_back({snap::kSecFleetBoards, w.Take()});
-  }
-  {
-    snap::Writer w;
+  });
+  c.Add(snap::kSecFleetLog, [this](snap::Writer& w) {
     w.U64(fleet_log_.size());
     for (const FleetOp& op : fleet_log_) {
       w.U8(static_cast<uint8_t>(op.kind));
@@ -590,21 +580,28 @@ void Fleet::BuildSnapshotContainer(snap::Container& c) {
           break;
       }
     }
-    c.sections.push_back({snap::kSecFleetLog, w.Take()});
-  }
+  });
 }
 
 void Fleet::Snapshot(std::vector<uint8_t>& out) {
-  snap::Container c;
-  BuildSnapshotContainer(c);
-  out = c.Assemble();
+  size_t hint = 64 * 1024;  // FLET, FABR, FLOG and the fabric's TRCE
+  if (fabric_trace_) {
+    hint += fabric_trace_->event_count() * sizeof(trace::Event);
+  }
+  for (const auto& board : boards_) {
+    hint += board->SnapshotBytesHint();
+  }
+  snap::Writer w;
+  w.Reserve(hint);
+  WriteSnapshot(w);
+  out = w.Take();
 }
 
 std::unique_ptr<Fleet> Fleet::Restore(const uint8_t* data, size_t size,
                                       const ImageResolver& images,
                                       int host_threads, bool flow,
                                       flow::FlowOptions flow_options) {
-  const snap::Container c = snap::Container::Parse(data, size);
+  const snap::Container c = snap::Container::Parse({data, size});
   if (c.kind != snap::kFleet) {
     throw snap::SnapshotError("not a fleet snapshot");
   }
@@ -660,7 +657,7 @@ std::unique_ptr<Fleet> Fleet::Restore(const uint8_t* data, size_t size,
       throw snap::SnapshotError("snapshot fleet board count mismatch");
     }
     for (uint32_t i = 0; i < board_count; ++i) {
-      CheckSramSection(snap::Container::Parse(r.Blob()), o.machine);
+      CheckSramSection(snap::Container::Parse(r.View()), o.machine);
     }
   }
   o.host_threads = host_threads;
@@ -714,10 +711,12 @@ std::unique_ptr<Fleet> Fleet::Restore(const uint8_t* data, size_t size,
     r.ExpectEnd("FLOG");
   }
   // Verify: the restored fleet must re-serialize to the snapshot, byte for
-  // byte — boards, fabric, recorders and the rebuilt control log alike.
-  snap::Container check;
-  fleet->BuildSnapshotContainer(check);
-  snap::VerifySections(c, check);
+  // byte — boards, fabric, recorders and the rebuilt control log alike. The
+  // rebuild is written into one buffer the size of the saved blob.
+  snap::Writer check;
+  check.Reserve(size);
+  fleet->WriteSnapshot(check);
+  snap::VerifySections(c, snap::Container::Parse(check.data()));
   return fleet;
 }
 

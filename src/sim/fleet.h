@@ -241,7 +241,7 @@ class Fleet {
   // logged op; called before every control op and before Snapshot() so the
   // log always ends at the snapshot's barrier.
   void LogAdvance();
-  void BuildSnapshotContainer(snap::Container& c);
+  void WriteSnapshot(snap::Writer& w);
 
   FleetOptions options_;
   Cycles epoch_ = 0;

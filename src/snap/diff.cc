@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 
 #include "src/snap/snapshot.h"
 
@@ -10,22 +9,10 @@ namespace cheriot::snap {
 
 namespace {
 
-// Fixed header: magic u64 + version u32 + kind u8 + flags u32 + count u32.
-constexpr size_t kHeaderBytes = 8 + 4 + 1 + 4 + 4;
-// Per-section frame preceding each body: id u32 + size u64.
-constexpr size_t kFrameBytes = 4 + 8;
-
-// Absolute byte offset of each section's body within the assembled blob,
-// in section order (recomputed from the parsed sizes — Assemble() is
-// deterministic, so this matches the input bytes exactly).
-std::map<uint32_t, size_t> BodyOffsets(const Container& c) {
-  std::map<uint32_t, size_t> offsets;
-  size_t off = kHeaderBytes;
-  for (const Section& s : c.sections) {
-    offsets.emplace(s.id, off + kFrameBytes);
-    off += kFrameBytes + s.body.size();
-  }
-  return offsets;
+// Absolute offset of `body`'s first byte in `blob` (a view from Parse).
+size_t OffsetIn(const std::vector<uint8_t>& blob,
+                std::span<const uint8_t> body) {
+  return static_cast<size_t>(body.data() - blob.data());
 }
 
 std::string Format(const char* fmt, size_t x, size_t y) {
@@ -55,9 +42,6 @@ BlobDiff DiffBlobs(const std::vector<uint8_t>& a,
                cb.sections.size());
   }
 
-  const auto offsets_a = BodyOffsets(ca);
-  const auto offsets_b = BodyOffsets(cb);
-
   // Walk A's sections in order, then anything only in B.
   for (const Section& sa : ca.sections) {
     const Section* sb = cb.Find(sa.id);
@@ -65,7 +49,7 @@ BlobDiff DiffBlobs(const std::vector<uint8_t>& a,
     sd.id = sa.id;
     sd.name = SectionName(sa.id);
     sd.size_a = sa.body.size();
-    sd.abs_offset_a = offsets_a.at(sa.id);
+    sd.abs_offset_a = OffsetIn(a, sa.body);
     if (sb == nullptr) {
       sd.only_in_a = true;
       d.divergent.push_back(std::move(sd));
@@ -73,17 +57,16 @@ BlobDiff DiffBlobs(const std::vector<uint8_t>& a,
     }
     sd.size_b = sb->body.size();
     const size_t common = std::min(sa.body.size(), sb->body.size());
-    const auto mismatch =
-        std::mismatch(sa.body.begin(), sa.body.begin() + common,
-                      sb->body.begin());
+    const auto mismatch = std::mismatch(
+        sa.body.begin(), sa.body.begin() + common, sb->body.begin());
     const size_t first =
         static_cast<size_t>(mismatch.first - sa.body.begin());
     if (first == common && sa.body.size() == sb->body.size()) {
       continue;  // identical
     }
     sd.first_diff_offset = first;
-    sd.abs_offset_a = offsets_a.at(sa.id) + first;
-    sd.abs_offset_b = offsets_b.at(sa.id) + first;
+    sd.abs_offset_a += first;
+    sd.abs_offset_b = OffsetIn(b, sb->body) + first;
     d.divergent.push_back(std::move(sd));
   }
   for (const Section& sb : cb.sections) {
@@ -94,7 +77,7 @@ BlobDiff DiffBlobs(const std::vector<uint8_t>& a,
     sd.id = sb.id;
     sd.name = SectionName(sb.id);
     sd.size_b = sb.body.size();
-    sd.abs_offset_b = offsets_b.at(sb.id);
+    sd.abs_offset_b = OffsetIn(b, sb.body);
     sd.only_in_b = true;
     d.divergent.push_back(std::move(sd));
   }

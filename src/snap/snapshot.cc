@@ -1,5 +1,7 @@
 #include "src/snap/snapshot.h"
 
+#include <algorithm>
+
 namespace cheriot::snap {
 
 std::string SectionName(uint32_t id) {
@@ -26,23 +28,18 @@ const Section& Container::Require(uint32_t id) const {
   return *s;
 }
 
-std::vector<uint8_t> Container::Assemble() const {
-  Writer w;
-  w.U64(kMagic);
-  w.U32(kVersion);
-  w.U8(kind);
-  w.U32(flags);
-  w.U32(static_cast<uint32_t>(sections.size()));
-  for (const Section& s : sections) {
-    w.U32(s.id);
-    w.U64(s.body.size());
-    w.Bytes(s.body.data(), s.body.size());
-  }
-  return w.Take();
+ContainerWriter::ContainerWriter(Writer& w, uint8_t kind, uint32_t flags)
+    : w_(w) {
+  w_.U64(kMagic);
+  w_.U32(kVersion);
+  w_.U8(kind);
+  w_.U32(flags);
+  count_at_ = w_.size();
+  w_.U32(0);
 }
 
-Container Container::Parse(const uint8_t* data, size_t size) {
-  Reader r(data, size);
+Container Container::Parse(std::span<const uint8_t> blob) {
+  Reader r(blob);
   if (r.U64() != kMagic) throw SnapshotError("bad snapshot magic");
   const uint32_t version = r.U32();
   if (version != kVersion) {
@@ -58,9 +55,8 @@ Container Container::Parse(const uint8_t* data, size_t size) {
     s.id = r.U32();
     const uint64_t len = r.U64();
     if (len > r.remaining()) throw SnapshotError("snapshot section truncated");
-    s.body.resize(len);
-    r.BytesInto(s.body.data(), len);
-    c.sections.push_back(std::move(s));
+    s.body = r.Next(len);
+    c.sections.push_back(s);
   }
   r.ExpectEnd("container");
   return c;
@@ -71,10 +67,11 @@ void VerifySections(const Container& saved, const Container& rebuilt) {
     throw SnapshotError("snapshot verify failed: section count");
   }
   for (size_t i = 0; i < saved.sections.size(); ++i) {
-    if (rebuilt.sections[i].id != saved.sections[i].id ||
-        rebuilt.sections[i].body != saved.sections[i].body) {
+    const Section& a = saved.sections[i];
+    const Section& b = rebuilt.sections[i];
+    if (b.id != a.id || !std::ranges::equal(a.body, b.body)) {
       throw SnapshotError("snapshot verify failed at section " +
-                          SectionName(saved.sections[i].id));
+                          SectionName(a.id));
     }
   }
 }

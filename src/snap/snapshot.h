@@ -12,10 +12,16 @@
 // Section bodies use snap::Writer/Reader primitives and are individually
 // byte-stable: serialising the same state twice yields the same bytes, which
 // is what lets Restore() verify itself by re-serialising and comparing.
+//
+// A blob is written once, in place: ContainerWriter puts the header and each
+// section frame straight into one Writer and backpatches the lengths. It is
+// read in place too: Container::Parse returns each section as a view into
+// the caller's blob.
 #ifndef SRC_SNAP_SNAPSHOT_H_
 #define SRC_SNAP_SNAPSHOT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,9 +87,10 @@ inline constexpr uint32_t kSecCoverage = FourCc('C', 'O', 'V', 'G');
 
 std::string SectionName(uint32_t id);
 
+// One parsed section: its id and a view of its body in the parsed blob.
 struct Section {
   uint32_t id = 0;
-  std::vector<uint8_t> body;
+  std::span<const uint8_t> body;
 };
 
 struct Container {
@@ -91,16 +98,37 @@ struct Container {
   uint32_t flags = 0;
   std::vector<Section> sections;
 
-  // Returns the section or null. Throws SnapshotError via RequireSection.
+  // Returns the section or null; Require throws SnapshotError instead.
   const Section* Find(uint32_t id) const;
   const Section& Require(uint32_t id) const;
   bool Has(uint32_t id) const { return Find(id) != nullptr; }
 
-  std::vector<uint8_t> Assemble() const;
-  static Container Parse(const uint8_t* data, size_t size);
-  static Container Parse(const std::vector<uint8_t>& blob) {
-    return Parse(blob.data(), blob.size());
+  // Checks the header and every frame against `blob`'s length. The sections
+  // are views into `blob`, which must outlive the container, so a temporary
+  // vector is refused.
+  static Container Parse(std::span<const uint8_t> blob);
+  static Container Parse(std::vector<uint8_t>&&) = delete;
+};
+
+// Writes a container into `w` in place: the header goes out with a section
+// count of zero, each Add() frames its section with Writer::Sized, and the
+// count is backpatched as each section ends.
+class ContainerWriter {
+ public:
+  ContainerWriter(Writer& w, uint8_t kind, uint32_t flags);
+
+  // Appends section `id`, whose body is what `fill(Writer&)` writes.
+  template <typename F>
+  void Add(uint32_t id, F&& fill) {
+    w_.U32(id);
+    w_.Sized(fill);
+    w_.PatchU32(count_at_, ++count_);
   }
+
+ private:
+  Writer& w_;
+  size_t count_at_;
+  uint32_t count_ = 0;
 };
 
 // The restore verify (DESIGN.md §10): throws SnapshotError unless `rebuilt`

@@ -8,8 +8,11 @@
 #ifndef SRC_SNAP_WIRE_H_
 #define SRC_SNAP_WIRE_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,25 +27,44 @@ class SnapshotError : public std::runtime_error {
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
 };
 
+// `v` with its bytes in little-endian order (the identity on such hosts).
+template <typename T>
+T LittleEndian(T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return v;
+  } else {
+    T r = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      r = static_cast<T>((r << 8) | ((v >> (8 * i)) & 0xff));
+    }
+    return r;
+  }
+}
+
+// Appends fields to one buffer, one store per fixed-width field. The buffer
+// is kept resized past the bytes written (size()), so a field costs a bound
+// check and a store; Take() trims it to exactly what was written.
 class Writer {
  public:
-  void U8(uint8_t v) { buf_.push_back(v); }
-  void U16(uint16_t v) {
-    buf_.push_back(static_cast<uint8_t>(v));
-    buf_.push_back(static_cast<uint8_t>(v >> 8));
+  // Grows the buffer to at least `bytes` up front, so a caller that knows
+  // (or can estimate) its output size allocates once.
+  void Reserve(size_t bytes) {
+    if (bytes > buf_.size()) {
+      buf_.resize(bytes);
+    }
   }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+
+  void U8(uint8_t v) { Put(v); }
+  void U16(uint16_t v) { Put(v); }
+  void U32(uint32_t v) { Put(v); }
+  void U64(uint64_t v) { Put(v); }
   void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
   void Bool(bool v) { U8(v ? 1 : 0); }
   void Bytes(const void* data, size_t size) {
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + size);
+    if (size != 0) {  // an empty vector's data() may be null
+      std::memcpy(Grow(size), data, size);
+    }
   }
   void Blob(const std::vector<uint8_t>& v) {
     U64(v.size());
@@ -62,43 +84,59 @@ class Writer {
     Bool(c.tag());
   }
 
-  const std::vector<uint8_t>& data() const { return buf_; }
-  std::vector<uint8_t> Take() { return std::move(buf_); }
-  size_t size() const { return buf_.size(); }
+  // A u64 byte count, then what `fill` writes: the count is written as zero
+  // and backpatched, so a framed body (a section, a BRDS entry) is written in
+  // place rather than built apart and copied in.
+  template <typename F>
+  void Sized(F&& fill) {
+    const size_t at = size_;
+    U64(0);
+    fill(*this);
+    Store(buf_.data() + at, static_cast<uint64_t>(size_ - at - 8));
+  }
+  // Overwrites the u32 written at byte `at`.
+  void PatchU32(size_t at, uint32_t v) { Store(buf_.data() + at, v); }
+
+  size_t size() const { return size_; }
+  std::span<const uint8_t> data() const { return {buf_.data(), size_}; }
+  std::vector<uint8_t> Take() {
+    buf_.resize(size_);
+    size_ = 0;
+    return std::move(buf_);
+  }
 
  private:
+  template <typename T>
+  static void Store(uint8_t* p, T v) {
+    v = LittleEndian(v);
+    std::memcpy(p, &v, sizeof(T));
+  }
+  template <typename T>
+  void Put(T v) {
+    Store(Grow(sizeof(T)), v);
+  }
+  uint8_t* Grow(size_t n) {
+    if (buf_.size() - size_ < n) {
+      buf_.resize(std::max({buf_.size() * 2, size_ + n, size_t{4096}}));
+    }
+    uint8_t* p = buf_.data() + size_;
+    size_ += n;
+    return p;
+  }
+
   std::vector<uint8_t> buf_;
+  size_t size_ = 0;  // bytes written; buf_ may extend past them
 };
 
 class Reader {
  public:
-  Reader(const uint8_t* data, size_t size) : p_(data), end_(data + size) {}
-  explicit Reader(const std::vector<uint8_t>& v) : Reader(v.data(), v.size()) {}
+  explicit Reader(std::span<const uint8_t> s)
+      : p_(s.data()), end_(s.data() + s.size()) {}
 
-  uint8_t U8() {
-    Need(1);
-    return *p_++;
-  }
-  uint16_t U16() {
-    Need(2);
-    uint16_t v = static_cast<uint16_t>(p_[0] | (p_[1] << 8));
-    p_ += 2;
-    return v;
-  }
-  uint32_t U32() {
-    Need(4);
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p_[i]) << (8 * i);
-    p_ += 4;
-    return v;
-  }
-  uint64_t U64() {
-    Need(8);
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p_[i]) << (8 * i);
-    p_ += 8;
-    return v;
-  }
+  uint8_t U8() { return Get<uint8_t>(); }
+  uint16_t U16() { return Get<uint16_t>(); }
+  uint32_t U32() { return Get<uint32_t>(); }
+  uint64_t U64() { return Get<uint64_t>(); }
   int32_t I32() { return static_cast<int32_t>(U32()); }
   bool Bool() { return U8() != 0; }
   void BytesInto(void* out, size_t size) {
@@ -108,12 +146,19 @@ class Reader {
     }
     p_ += size;
   }
-  std::vector<uint8_t> Blob() {
-    const uint64_t n = U64();
+  // The next `n` bytes, as a view into the reader's input.
+  std::span<const uint8_t> Next(uint64_t n) {
     Need(n);
-    std::vector<uint8_t> v(p_, p_ + n);
+    const std::span<const uint8_t> v(p_, n);
     p_ += n;
     return v;
+  }
+  // A u64-length-prefixed byte run, as a view.
+  std::span<const uint8_t> View() { return Next(U64()); }
+  // The same run, copied.
+  std::vector<uint8_t> Blob() {
+    const std::span<const uint8_t> v = View();
+    return {v.begin(), v.end()};
   }
   std::string Str() {
     const uint32_t n = U32();
@@ -131,8 +176,16 @@ class Reader {
   }
 
  private:
-  void Need(size_t n) const {
-    if (static_cast<size_t>(end_ - p_) < n) {
+  template <typename T>
+  T Get() {
+    Need(sizeof(T));
+    T v;
+    std::memcpy(&v, p_, sizeof(T));
+    p_ += sizeof(T);
+    return LittleEndian(v);
+  }
+  void Need(uint64_t n) const {
+    if (static_cast<uint64_t>(end_ - p_) < n) {
       throw SnapshotError("snapshot truncated");
     }
   }

@@ -424,9 +424,11 @@ FirmwareImage SleeperImage() {
 // The first byte of each pending frame in the board's BORD section, checking
 // that the section lists them in ascending due order.
 std::vector<uint8_t> PendingTagsInBoardSection(Board& board) {
-  snap::Container c;
-  board.BuildStateSections(c);
-  snap::Reader r(c.Require(snap::kSecBoard).body);
+  snap::Writer w;
+  snap::ContainerWriter c(w, snap::kScene, 0);
+  board.WriteStateSections(c);
+  const snap::Container parsed = snap::Container::Parse(w.data());
+  snap::Reader r(parsed.Require(snap::kSecBoard).body);
   r.Bool();  // booted
   r.U8();    // last run result
   r.Bool();  // injected since deadlock

@@ -255,11 +255,11 @@ TEST(McTest, DiffBlobsNamesFirstDivergentSectionAndOffset) {
   std::vector<uint8_t> blob;
   board.Snapshot(blob);
 
-  // Perturb one byte in the middle of a section body and reassemble.
-  snap::Container c = snap::Container::Parse(blob);
+  // Perturb one byte in the middle of a section body, in a copy of the blob.
+  const snap::Container c = snap::Container::Parse(blob);
   ASSERT_FALSE(c.sections.empty());
-  snap::Section* victim = nullptr;
-  for (snap::Section& s : c.sections) {
+  const snap::Section* victim = nullptr;
+  for (const snap::Section& s : c.sections) {
     if (s.body.size() >= 64) {
       victim = &s;
       break;
@@ -267,8 +267,9 @@ TEST(McTest, DiffBlobsNamesFirstDivergentSectionAndOffset) {
   }
   ASSERT_NE(victim, nullptr);
   const size_t flip = victim->body.size() / 2;
-  victim->body[flip] ^= 0xFF;
-  const std::vector<uint8_t> perturbed = c.Assemble();
+  std::vector<uint8_t> perturbed = blob;
+  perturbed[static_cast<size_t>(victim->body.data() - blob.data()) + flip] ^=
+      0xFF;
 
   const snap::BlobDiff d = snap::DiffBlobs(blob, perturbed);
   EXPECT_FALSE(d.equal);

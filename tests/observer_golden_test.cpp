@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,7 +48,7 @@ uint64_t Fnv1a(const std::string& s) {
   return Fnv1a(reinterpret_cast<const uint8_t*>(s.data()), s.size());
 }
 
-uint64_t Fnv1a(const std::vector<uint8_t>& v) {
+uint64_t Fnv1a(std::span<const uint8_t> v) {
   return Fnv1a(v.data(), v.size());
 }
 

@@ -18,6 +18,8 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -147,10 +149,13 @@ TEST(SnapshotTest, PostBootBlobWithReservedFlagBitRestores) {
   a.Boot();
   std::vector<uint8_t> blob;
   a.Snapshot(blob);
-  snap::Container c = snap::Container::Parse(blob);
-  c.flags |= 1u;
+  // The header's flags are a little-endian u32 after magic, version and
+  // kind, so bit 0 is in byte 13.
+  std::vector<uint8_t> flagged = blob;
+  flagged.at(8 + 4 + 1) |= 1u;
+  ASSERT_EQ(snap::Container::Parse(flagged).flags & 1u, 1u);
 
-  auto b = Board::Restore(c.Assemble(), BuildImage("quickstart"));
+  auto b = Board::Restore(flagged, BuildImage("quickstart"));
   a.StepTo(kSnapAt);
   b->StepTo(kSnapAt);
   EXPECT_EQ(a.fingerprint(), b->fingerprint());
@@ -204,7 +209,7 @@ TEST_F(PostBootRestoreTest, BlobIsReusable) {
 // change that moves any serialized byte (or the header) shows up here by
 // section name.
 
-uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
+uint64_t Fnv1a(std::span<const uint8_t> bytes) {
   uint64_t h = 1469598103934665603ull;
   for (uint8_t b : bytes) {
     h = (h ^ b) * 1099511628211ull;
@@ -581,7 +586,7 @@ TEST(SnapshotTest, RestoreRejectsDeviceLengthsBeyondTheSection) {
 
   // DEVS: UART output, LED state and event list, timer, then the NIC's MAC,
   // its RX FIFO (empty after boot) and the latched frame.
-  const std::vector<uint8_t>& devs = cold.Require(snap::kSecDevices).body;
+  const std::span<const uint8_t> devs = cold.Require(snap::kSecDevices).body;
   snap::Reader r(devs);
   r.Str();
   r.U32();
@@ -594,17 +599,14 @@ TEST(SnapshotTest, RestoreRejectsDeviceLengthsBeyondTheSection) {
   ASSERT_EQ(r.U32(), 0u);
   const size_t latched_length_at = devs.size() - r.remaining();
 
+  const size_t devs_at = static_cast<size_t>(devs.data() - blob.data());
   auto with_length = [&](size_t offset) {
-    snap::Container c = cold;
-    for (snap::Section& s : c.sections) {
-      if (s.id == snap::kSecDevices) {
-        for (int i = 0; i < 4; ++i) {
-          s.body[offset + static_cast<size_t>(i)] =
-              static_cast<uint8_t>(0xFFFFFFF0u >> (8 * i));
-        }
-      }
+    std::vector<uint8_t> patched = blob;
+    for (int i = 0; i < 4; ++i) {
+      patched[devs_at + offset + static_cast<size_t>(i)] =
+          static_cast<uint8_t>(0xFFFFFFF0u >> (8 * i));
     }
-    return c.Assemble();
+    return patched;
   };
   EXPECT_THROW(
       Board::Restore(with_length(latched_length_at), BuildImage("quickstart")),
@@ -636,27 +638,34 @@ struct Field {
   size_t width;
 };
 
-size_t Offset(const std::vector<uint8_t>& body, const snap::Reader& r) {
+size_t Offset(std::span<const uint8_t> body, const snap::Reader& r) {
   return body.size() - r.remaining();
 }
 
-const std::vector<uint8_t>& Body(const snap::Container& c, uint32_t id) {
+std::span<const uint8_t> Body(const snap::Container& c, uint32_t id) {
   return c.Require(id).body;
 }
 
-// `blob` with the `width`-byte little-endian `value` written at `offset` of
-// section `id`.
+// Where section `id`'s body starts in `blob`.
+size_t BodyOffset(const std::vector<uint8_t>& blob, uint32_t id) {
+  return static_cast<size_t>(
+      Body(snap::Container::Parse(blob), id).data() - blob.data());
+}
+
+// A copy of `blob` with the `width`-byte little-endian `value` written at
+// `offset` of section `id`.
 std::vector<uint8_t> Patched(const std::vector<uint8_t>& blob, uint32_t id,
                              size_t offset, uint64_t value, size_t width) {
-  snap::Container c = snap::Container::Parse(blob);
-  for (snap::Section& s : c.sections) {
-    if (s.id == id) {
-      for (size_t i = 0; i < width; ++i) {
-        s.body.at(offset + i) = static_cast<uint8_t>(value >> (8 * i));
-      }
-    }
+  const snap::Container c = snap::Container::Parse(blob);
+  if (offset + width > Body(c, id).size()) {
+    throw std::out_of_range("patch past the end of " + snap::SectionName(id));
   }
-  return c.Assemble();
+  std::vector<uint8_t> out = blob;
+  const size_t at = BodyOffset(blob, id) + offset;
+  for (size_t i = 0; i < width; ++i) {
+    out[at + i] = static_cast<uint8_t>(value >> (8 * i));
+  }
+  return out;
 }
 
 // Board OPTS, in the order Board::Snapshot writes it; the trace and
@@ -668,7 +677,7 @@ struct OptsLayout {
   size_t forensics_ring = 0;
 };
 
-OptsLayout BoardOptsLayout(const std::vector<uint8_t>& opts) {
+OptsLayout BoardOptsLayout(std::span<const uint8_t> opts) {
   OptsLayout l;
   snap::Reader r(opts);
   r.I32();  // index
@@ -702,7 +711,7 @@ struct FletLayout {
   size_t board_count = 0;
 };
 
-FletLayout FleetFletLayout(const std::vector<uint8_t>& flet) {
+FletLayout FleetFletLayout(std::span<const uint8_t> flet) {
   FletLayout l;
   snap::Reader r(flet);
   l.epoch = Offset(flet, r);
@@ -731,7 +740,7 @@ FletLayout FleetFletLayout(const std::vector<uint8_t>& flet) {
 
 // Every header field of a board RLOG body: the op count, then per op its
 // kind, step target (or injection clock), due cycle and frame length.
-std::vector<Field> RlogHeaderFields(const std::vector<uint8_t>& body) {
+std::vector<Field> RlogHeaderFields(std::span<const uint8_t> body) {
   std::vector<Field> out;
   snap::Reader r(body);
   out.push_back({Offset(body, r), 8});
@@ -753,7 +762,7 @@ std::vector<Field> RlogHeaderFields(const std::vector<uint8_t>& body) {
 // Every header field of a fleet FLOG body: the op count, then per op its
 // kind and, by kind, the advance target or the MQTT topic and payload
 // lengths (a ping carries no length or target).
-std::vector<Field> FlogHeaderFields(const std::vector<uint8_t>& body) {
+std::vector<Field> FlogHeaderFields(std::span<const uint8_t> body) {
   std::vector<Field> out;
   snap::Reader r(body);
   out.push_back({Offset(body, r), 8});
@@ -918,9 +927,9 @@ TEST(SnapshotTest, FleetRestoresInTheFastForwardModeOfItsSnapshot) {
   fleet->Run(cost::kCoreHz / 2);
   std::vector<uint8_t> blob;
   fleet->Snapshot(blob);
-  const std::vector<uint8_t> flet =
+  const std::span<const uint8_t> flet =
       Body(snap::Container::Parse(blob), snap::kSecFleet);
-  EXPECT_EQ(flet.at(FleetFletLayout(flet).fast_forward), 0u);
+  EXPECT_EQ(flet[FleetFletLayout(flet).fast_forward], 0u);
 
   for (const char* env : {static_cast<const char*>(nullptr), "1"}) {
     if (env != nullptr) {
@@ -993,7 +1002,7 @@ std::string FirstViolation(const std::vector<uint8_t>& blob, uint32_t id,
                            const std::vector<size_t>& offsets,
                            const RestoreFn& restore, int* mutants) {
   using Clock = std::chrono::steady_clock;
-  const snap::Container original = snap::Container::Parse(blob);
+  const size_t body_at = BodyOffset(blob, id);
   const auto t0 = Clock::now();
   if (restore(blob) != blob) {
     return "the unmutated blob does not restore";
@@ -1001,14 +1010,9 @@ std::string FirstViolation(const std::vector<uint8_t>& blob, uint32_t id,
   const double bound_s =
       1.0 + 200 * std::chrono::duration<double>(Clock::now() - t0).count();
   for (const size_t offset : offsets) {
-    for (const uint8_t b : Replacements(Body(original, id).at(offset))) {
-      snap::Container c = original;
-      for (snap::Section& s : c.sections) {
-        if (s.id == id) {
-          s.body[offset] = b;
-        }
-      }
-      const std::vector<uint8_t> mutant = c.Assemble();
+    for (const uint8_t b : Replacements(blob.at(body_at + offset))) {
+      std::vector<uint8_t> mutant = blob;
+      mutant[body_at + offset] = b;
       const std::string where = snap::SectionName(id) + " byte " +
                                 std::to_string(offset) + " = " +
                                 std::to_string(b) + ": ";
@@ -1032,7 +1036,7 @@ std::string FirstViolation(const std::vector<uint8_t>& blob, uint32_t id,
   return "";
 }
 
-std::vector<size_t> AllBytes(const std::vector<uint8_t>& body) {
+std::vector<size_t> AllBytes(std::span<const uint8_t> body) {
   std::vector<size_t> out(body.size());
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = i;
