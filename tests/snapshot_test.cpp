@@ -31,6 +31,7 @@
 #include "src/sim/board.h"
 #include "src/sim/fleet.h"
 #include "src/sim/fleet_app.h"
+#include "src/snap/diff.h"
 #include "src/snap/snapshot.h"
 #include "src/sync/sync.h"
 #include "src/trace/export.h"
@@ -969,6 +970,147 @@ TEST(SnapshotTest, FleetRestoreRejectsSramGeometryUnlikeItsBoards) {
                  snap::SnapshotError)
         << size;
   }
+}
+
+// --- Hostile frame lengths --------------------------------------------------
+//
+// Restore and DiffBlobs read each section as a view bounded by its frame, so
+// a blob cut at any frame, or a frame length past the end of the container
+// holding it, raises SnapshotError and nothing else.
+
+// A two-board fleet with every recorder on, so each BRDS entry carries TRCE,
+// HLTH and COVG after the board's state sections.
+std::vector<uint8_t> RecordedTwoBoardFleetBlob() {
+  FleetOptions options;
+  options.trace = options.forensics = options.cov = true;
+  auto fleet = MakeFleet(2, 1, options);
+  fleet->Run(cost::kCoreHz / 8);
+  std::vector<uint8_t> blob;
+  fleet->Snapshot(blob);
+  return blob;
+}
+
+constexpr size_t kFrameBytes = 4 + 8;  // id u32, then the body length u64
+
+// A u64 length field at `at` in `blob`, and the end of the container or
+// BRDS section whose bytes it counts.
+struct LengthField {
+  size_t at;
+  size_t end;
+};
+
+// Every section frame's start in `blob`, and every length field: each
+// section's, each BRDS entry's and each section's in a BRDS entry.
+void FramesOf(const std::vector<uint8_t>& blob, std::vector<size_t>* frames,
+              std::vector<LengthField>* lengths) {
+  auto at = [&blob](std::span<const uint8_t> s) {
+    return static_cast<size_t>(s.data() - blob.data());
+  };
+  auto add_sections = [&](const snap::Container& c, size_t end) {
+    for (const snap::Section& s : c.sections) {
+      frames->push_back(at(s.body) - kFrameBytes);
+      lengths->push_back({at(s.body) - 8, end});
+    }
+  };
+  const snap::Container c = snap::Container::Parse(blob);
+  add_sections(c, blob.size());
+  if (const snap::Section* boards = c.Find(snap::kSecFleetBoards)) {
+    snap::Reader r(boards->body);
+    for (uint32_t n = r.U32(); n > 0; --n) {
+      const std::span<const uint8_t> entry = r.View();
+      lengths->push_back({at(entry) - 8, at(boards->body) + boards->body.size()});
+      add_sections(snap::Container::Parse(entry), at(entry) + entry.size());
+    }
+  }
+}
+
+// What `fn` raised other than a SnapshotError, or "" if it returned or
+// raised only that.
+std::string NonSnapshotErrorOf(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const snap::SnapshotError&) {
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "an exception of no std type";
+  }
+  return "";
+}
+
+// Returns the number of section frames it cut at.
+size_t ExpectHostileFramesRaiseSnapshotErrors(
+    const std::vector<uint8_t>& blob,
+    const std::function<void(const std::vector<uint8_t>&)>& restore) {
+  std::vector<size_t> frames;
+  std::vector<LengthField> lengths;
+  FramesOf(blob, &frames, &lengths);
+  for (const size_t frame : frames) {
+    for (const size_t cut : {frame - 1, frame, frame + 1}) {
+      const std::vector<uint8_t> cut_blob(blob.begin(), blob.begin() + cut);
+      EXPECT_NE(SnapshotErrorOf([&] { restore(cut_blob); }), "")
+          << "cut at " << cut;
+      EXPECT_NE(SnapshotErrorOf([&] { snap::DiffBlobs(blob, cut_blob); }), "")
+          << "cut at " << cut;
+    }
+  }
+  for (const LengthField& f : lengths) {
+    const uint64_t remaining = f.end - (f.at + 8);
+    for (const uint64_t length : {remaining + 1, UINT64_MAX}) {
+      std::vector<uint8_t> patched = blob;
+      for (size_t i = 0; i < 8; ++i) {
+        patched[f.at + i] = static_cast<uint8_t>(length >> (8 * i));
+      }
+      EXPECT_NE(SnapshotErrorOf([&] { restore(patched); }), "")
+          << "length at " << f.at << " = " << length;
+      // A BRDS entry is opaque to the diff, which then finds BRDS differs.
+      EXPECT_EQ(NonSnapshotErrorOf([&] { snap::DiffBlobs(blob, patched); }),
+                "")
+          << "length at " << f.at << " = " << length;
+      EXPECT_EQ(NonSnapshotErrorOf([&] { snap::DiffBlobs(patched, blob); }),
+                "")
+          << "length at " << f.at << " = " << length;
+    }
+  }
+  return frames.size();
+}
+
+TEST(SnapshotTest, BoardBlobCutOrOverlongAtAnyFrameRaisesSnapshotError) {
+  EXPECT_EQ(ExpectHostileFramesRaiseSnapshotErrors(
+                GoldenMidRunBlob(),
+                [](const std::vector<uint8_t>& b) {
+                  Board::Restore(b, FleetAppImage());
+                }),
+            16u);
+}
+
+TEST(SnapshotTest, FleetBlobCutOrOverlongAtAnyFrameRaisesSnapshotError) {
+  // FLET, FABR, TRCE, BRDS and FLOG, then per board its ten state sections
+  // and three recorder sections.
+  EXPECT_EQ(ExpectHostileFramesRaiseSnapshotErrors(
+                RecordedTwoBoardFleetBlob(),
+                [](const std::vector<uint8_t>& b) {
+                  Fleet::Restore(b, FleetImages());
+                }),
+            5u + 2 * 13);
+}
+
+// TRCE is never decoded on restore; a flipped byte in board 1's ring is
+// found by the verify, which names the outer section holding it.
+TEST(SnapshotTest, FleetVerifyNamesBrdsForAFlippedBoardTraceByte) {
+  const std::vector<uint8_t> blob = RecordedTwoBoardFleetBlob();
+  const snap::Container c = snap::Container::Parse(blob);
+  snap::Reader r(c.Require(snap::kSecFleetBoards).body);
+  ASSERT_EQ(r.U32(), 2u);
+  r.View();  // board 0
+  const snap::Container board1 = snap::Container::Parse(r.View());
+  const std::span<const uint8_t> trce = board1.Require(snap::kSecTrace).body;
+  ASSERT_FALSE(trce.empty());
+  std::vector<uint8_t> flipped = blob;
+  flipped[static_cast<size_t>(trce.data() - blob.data()) + trce.size() / 2] ^=
+      0xFF;
+  EXPECT_EQ(SnapshotErrorOf([&] { Fleet::Restore(flipped, FleetImages()); }),
+            "snapshot verify failed at section BRDS");
 }
 
 // --- Mutation test of the decoded sections ---------------------------------
