@@ -229,89 +229,136 @@ void FlowRecorder::BeginPublish(const std::string& topic, FlowId carrier,
 
 void FlowRecorder::EndPublish() { open_publish_ = -1; }
 
-json::Value FlowRecorder::FlowTableJson() const {
-  json::Array flows;
-  for (const auto& [key, info] : flows_) {
-    json::Object f;
-    f["id"] = json::Value(info.id.Label());
-    f["origin"] = json::Value(static_cast<int64_t>(info.id.origin));
-    f["seq"] = json::Value(info.id.seq);
-    if (info.has_tx) f["tx_at"] = json::Value(info.tx_at);
-    f["bytes"] = json::Value(info.bytes);
-    if (info.parent != kNoKey) {
-      auto it = flows_.find(info.parent);
-      f["parent"] = json::Value(it != flows_.end() ? it->second.id.Label()
-                                                   : std::to_string(info.parent));
-    }
-    if (info.publish_index >= 0) {
-      f["publish"] = json::Value(static_cast<int64_t>(info.publish_index));
-    }
-    if (info.gateway_rx) f["gateway_rx_at"] = json::Value(info.gateway_rx_at);
-    if (!info.hops.empty()) {
-      json::Array hops;
-      for (const Hop& h : info.hops) {
-        json::Object ho;
-        ho["src_port"] = json::Value(static_cast<int64_t>(h.src_port));
-        ho["dst_port"] = json::Value(static_cast<int64_t>(h.dst_port));
-        ho["tx_at"] = json::Value(h.tx_at);
-        ho["due"] = json::Value(h.due);
-        hops.push_back(json::Value(std::move(ho)));
-      }
-      f["hops"] = json::Value(std::move(hops));
-    }
+FlowTable FlowRecorder::FlowTableJson() const { return FlowTable(*this); }
+
+std::string FlowTable::Dump(int indent) const {
+  const std::map<uint64_t, FlowRecorder::FlowInfo>& flows = recorder_->flows();
+  // The label of the flow keyed `key`, or the bare key if it is unknown.
+  auto label = [&flows](uint64_t key) {
+    auto it = flows.find(key);
+    return it != flows.end() ? it->second.id.Label() : std::to_string(key);
+  };
+  // Keys are written in std::map order, as Dump writes a json::Object's. A
+  // fleet-node flow takes ~250 bytes compact and ~450 at indent 2; reserving
+  // above that keeps the string from reallocating.
+  std::string out;
+  out.reserve(flows.size() * (indent < 0 ? 320 : 640));
+  json::Writer w(&out, indent);
+  w.BeginObject();
+  w.Key("deliveries");
+  w.Uint(recorder_->deliveries());
+  w.Key("drops");
+  w.Uint(recorder_->drops());
+  w.Key("flow_count");
+  w.Uint(flows.size());
+  w.Key("flows");
+  w.BeginArray();
+  for (const auto& [key, info] : flows) {
+    w.BeginObject();
+    w.Key("bytes");
+    w.Uint(info.bytes);
     if (!info.deliveries.empty()) {
-      json::Array dels;
-      for (const Delivery& d : info.deliveries) {
-        json::Object de;
-        de["board"] = json::Value(static_cast<int64_t>(d.board));
-        de["at"] = json::Value(d.at);
+      w.Key("deliveries");
+      w.BeginArray();
+      for (const FlowRecorder::Delivery& d : info.deliveries) {
+        w.BeginObject();
+        w.Key("at");
+        w.Uint(d.at);
+        w.Key("board");
+        w.Int(d.board);
         if (info.has_tx && d.at >= info.tx_at) {
-          de["latency"] = json::Value(d.at - info.tx_at);
+          w.Key("latency");
+          w.Uint(d.at - info.tx_at);
         }
-        dels.push_back(json::Value(std::move(de)));
+        w.EndObject();
       }
-      f["deliveries"] = json::Value(std::move(dels));
+      w.EndArray();
     }
     if (!info.drops.empty()) {
-      json::Array drops;
-      for (const Drop& d : info.drops) {
-        json::Object dr;
-        dr["reason"] = json::Value(
-            d.reason == kDropNicLoss ? "nic_loss" : "gateway_tcp");
-        dr["at"] = json::Value(d.at);
-        drops.push_back(json::Value(std::move(dr)));
+      w.Key("drops");
+      w.BeginArray();
+      for (const FlowRecorder::Drop& d : info.drops) {
+        w.BeginObject();
+        w.Key("at");
+        w.Uint(d.at);
+        w.Key("reason");
+        w.String(d.reason == kDropNicLoss ? "nic_loss" : "gateway_tcp");
+        w.EndObject();
       }
-      f["drops"] = json::Value(std::move(drops));
+      w.EndArray();
     }
-    flows.push_back(json::Value(std::move(f)));
+    if (info.gateway_rx) {
+      w.Key("gateway_rx_at");
+      w.Uint(info.gateway_rx_at);
+    }
+    if (!info.hops.empty()) {
+      w.Key("hops");
+      w.BeginArray();
+      for (const FlowRecorder::Hop& h : info.hops) {
+        w.BeginObject();
+        w.Key("dst_port");
+        w.Int(h.dst_port);
+        w.Key("due");
+        w.Uint(h.due);
+        w.Key("src_port");
+        w.Int(h.src_port);
+        w.Key("tx_at");
+        w.Uint(h.tx_at);
+        w.EndObject();
+      }
+      w.EndArray();
+    }
+    w.Key("id");
+    w.String(info.id.Label());
+    w.Key("origin");
+    w.Int(info.id.origin);
+    if (info.parent != FlowRecorder::kNoKey) {
+      w.Key("parent");
+      w.String(label(info.parent));
+    }
+    if (info.publish_index >= 0) {
+      w.Key("publish");
+      w.Int(info.publish_index);
+    }
+    w.Key("seq");
+    w.Uint(info.id.seq);
+    if (info.has_tx) {
+      w.Key("tx_at");
+      w.Uint(info.tx_at);
+    }
+    w.EndObject();
   }
-  json::Array pubs;
-  for (const Publish& pub : publishes_) {
-    json::Object p;
-    p["topic"] = json::Value(pub.topic);
-    p["publisher"] = json::Value(static_cast<int64_t>(pub.publisher));
-    if (pub.carrier != kNoKey) {
-      auto it = flows_.find(pub.carrier);
-      if (it != flows_.end()) p["carrier"] = json::Value(it->second.id.Label());
+  w.EndArray();
+  w.Key("publishes");
+  w.BeginArray();
+  for (const FlowRecorder::Publish& pub : recorder_->publishes()) {
+    w.BeginObject();
+    w.Key("at");
+    w.Uint(pub.at);
+    if (pub.carrier != FlowRecorder::kNoKey) {
+      auto it = flows.find(pub.carrier);
+      if (it != flows.end()) {
+        w.Key("carrier");
+        w.String(it->second.id.Label());
+      }
     }
-    p["at"] = json::Value(pub.at);
-    json::Array fan;
+    w.Key("fanout");
+    w.BeginArray();
     for (uint64_t key : pub.fanout) {
-      auto it = flows_.find(key);
-      fan.push_back(json::Value(it != flows_.end() ? it->second.id.Label()
-                                                   : std::to_string(key)));
+      w.String(label(key));
     }
-    p["fanout"] = json::Value(std::move(fan));
-    pubs.push_back(json::Value(std::move(p)));
+    w.EndArray();
+    w.Key("publisher");
+    w.Int(pub.publisher);
+    w.Key("topic");
+    w.String(pub.topic);
+    w.EndObject();
   }
-  json::Object o;
-  o["schema_version"] = json::Value(static_cast<int64_t>(kSchemaVersion));
-  o["flow_count"] = json::Value(static_cast<uint64_t>(flows_.size()));
-  o["deliveries"] = json::Value(deliveries_);
-  o["drops"] = json::Value(drops_);
-  o["flows"] = json::Value(std::move(flows));
-  o["publishes"] = json::Value(std::move(pubs));
-  return json::Value(std::move(o));
+  w.EndArray();
+  w.Key("schema_version");
+  w.Int(FlowRecorder::kSchemaVersion);
+  w.EndObject();
+  return out;
 }
 
 namespace {

@@ -150,6 +150,8 @@ class MetricsSeries {
   std::vector<uint64_t> futex_waits_;
 };
 
+class FlowTable;
+
 // Assembles per-frame flow records and message spans from the observation
 // hooks below. Single-threaded by contract: the Fleet calls every hook at
 // epoch barriers (board-index order). Never consulted on guest-visible
@@ -241,7 +243,7 @@ class FlowRecorder {
   // --- Byte-stable exports --------------------------------------------------
   // All three are pure functions of the hook call sequence, which the fleet
   // barrier schedule makes identical for any host worker count.
-  json::Value FlowTableJson() const;
+  FlowTable FlowTableJson() const;
   json::Value HistogramsJson() const;
   json::Value MetricsJson() const;
 
@@ -257,6 +259,20 @@ class FlowRecorder {
   std::map<std::string, LatencyHistogram> topic_latency_;
   std::map<std::pair<int, int>, LatencyHistogram> pair_latency_;
   MetricsSeries metrics_;
+};
+
+// The flow table of one recorder, which must outlive it: Dump streams every
+// flow and publish through a json::Writer into one string, with no
+// json::Value tree, and writes the bytes json::Value::Dump(indent) would for
+// that tree.
+class FlowTable {
+ public:
+  explicit FlowTable(const FlowRecorder& recorder) : recorder_(&recorder) {}
+
+  std::string Dump(int indent = 2) const;
+
+ private:
+  const FlowRecorder* recorder_;
 };
 
 }  // namespace cheriot::flow
