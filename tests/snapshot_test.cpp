@@ -657,8 +657,7 @@ size_t BodyOffset(const std::vector<uint8_t>& blob, uint32_t id) {
 // `offset` of section `id`.
 std::vector<uint8_t> Patched(const std::vector<uint8_t>& blob, uint32_t id,
                              size_t offset, uint64_t value, size_t width) {
-  const snap::Container c = snap::Container::Parse(blob);
-  if (offset + width > Body(c, id).size()) {
+  if (offset + width > Body(snap::Container::Parse(blob), id).size()) {
     throw std::out_of_range("patch past the end of " + snap::SectionName(id));
   }
   std::vector<uint8_t> out = blob;
